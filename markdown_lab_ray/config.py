@@ -44,8 +44,6 @@ class EngineConfig:
     fetch_mode: str = "actors"         # "actors" (stateful tier) | "tasks"
     parse_concurrency: int = 0         # 0 => stateless tasks, let Ray scale
     seen_shards: int = 16              # URL-seen filter shard actors
-    schedule_salts: int = 0            # >1 → two-stage salted schedule
-                                       # (bounds hot-host group size)
     payload_cache_ttl: float = 0.0     # >0 → per-fetch-actor TTL/LRU cache
     pacing_rps: float = 0.0            # >0 → realtime per-host pacing in
                                        # fetch actors (sleeps!); the round

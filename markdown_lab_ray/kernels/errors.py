@@ -30,20 +30,10 @@ class NetworkError(MarkdownLabError):
         self.status = status
 
 
-class TimeoutError_(NetworkError):
-    def __init__(self, message: str, url: str = ""):
-        super().__init__(message, url, None, "TIMEOUT")
-
-
 class HttpStatusError(NetworkError):
     def __init__(self, url: str, status: int):
         super().__init__(f"HTTP {status} for {url}", url, status,
                          f"HTTP_{status}")
-
-
-class ParsingError(MarkdownLabError):
-    def __init__(self, message: str):
-        super().__init__(message, "PARSE")
 
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})

@@ -90,7 +90,7 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
     become status rows (S3 tolerance)."""
     from ..kernels.html_kernels import parse_html_to_document
     from ..kernels.render import render_document
-    from ..stages.convert import EMPTY_DOC, chunk_explode_batch
+    from ..stages.convert import EMPTY_DOC
     from .crawl import _WEB_CACHE, _worker_cached
 
     web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
@@ -116,11 +116,8 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
         "payload": pa.array(payloads, pa.string()),
     })
     if chunk_sink:
-        import pyarrow.compute as pc
-
         from .crawl import _write_chunk_sidecar
-        ok = out.filter(pc.equal(out.column("status"), 200))
-        _write_chunk_sidecar(ok, chunk_sink, chunk_size, chunk_overlap)
+        _write_chunk_sidecar(out, chunk_sink, chunk_size, chunk_overlap)
     return out
 
 

@@ -1,10 +1,11 @@
 """Distributed crawl engine: BSP rounds over Ray Data (SURVEY.md §3.4).
 
-Each round has exactly ONE wide operation: a ``groupby(host)`` whose
-per-group function fuses intra-round dedup, URL-seen filtering, robots
-checks and the politeness schedule (two keyed stages when
-``schedule_salts`` bounds hot-host group sizes).  Everything else is
-``map_batches`` streaming.  Every round checkpoints to parquet under
+Each round schedules along one path: a ``SeenProbe(filter_unseen)``
+map stage drops already-crawled URLs, then ONE ``groupby(host)`` whose
+per-group function (``make_host_processor``) fuses intra-round dedup,
+robots checks and the politeness schedule, then the schedule is
+materialized.  Everything else is ``map_batches`` streaming.  Every
+round checkpoints to parquet under
 ``out_dir/rounds/round=N/`` (schedule, docs, chunks, frontier_next)
 plus a ``_MANIFEST.json``, so a killed run resumes from the last
 complete round with per-partition lineage (north_rule: resumable with
@@ -16,8 +17,8 @@ Scale notes (10^10-URL frontier):
   boundary (docs/chunks are written, links are folded back to rows);
 - URL-seen is O(urls) but sharded + cuckoo-prefiltered (state/seen.py);
 - per-host budget caps each round's fetch volume, so a hot host defers
-  rather than stalls; ``schedule_salts`` splits a hot host's scheduler
-  work across (host, salt) groups without changing the outcome.
+  rather than stalls; its schedule group is not split across tasks
+  (``make_host_processor`` says why).
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ _WARNED_SERIAL_CKPT = False
 from ..config import EngineConfig
 from ..kernels.html_kernels import extract_links, parse_html_to_document
 from ..kernels.render import document_to_markdown
-from ..state.politeness import (effective_budget, order_key_frame,
-                                round_budget, schedule_group)
+from ..state.politeness import effective_budget, round_budget, schedule_group
 from ..state.robots import LocalRobotsCache
 from ..state.seen import SeenProbe, create_seen_shards
 from ..stages.convert import EMPTY_DOC, chunk_explode_batch
@@ -67,59 +67,26 @@ def _worker_cached(cache: dict, factory, build):
     return obj
 
 
-class DiscoverStage:
-    """Actor stage: seed URL rows → frontier rows (robots → sitemap
-    recursion → filters), reference discovery semantics."""
-
-    def __init__(self, web_factory, min_priority=None, include_patterns=None,
-                 exclude_patterns=None, limit=None):
-        web = web_factory()
-        self.resolve = web.resolve
-        self.robots = LocalRobotsCache(self.resolve)
-        self.filters = dict(min_priority=min_priority,
-                            include_patterns=include_patterns,
-                            exclude_patterns=exclude_patterns, limit=limit)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for seed, idx in zip(batch.column("seed").to_pylist(),
-                             batch.column("seed_idx").to_pylist()):
-            rows.extend(discover_seed_frontier(
-                self.resolve, self.robots, seed, idx, **self.filters))
-        return frontier_rows_to_table(rows)
-
-
-def discover_batch(batch: pa.Table, web_factory, **filters) -> pa.Table:
-    """Task-pool variant of DiscoverStage: runs on the already-warm
-    worker pool (no actor spawn), robots cache in a worker-process
-    global.  Used when the resolver is cheap to construct (synthetic
-    web); a real-network crawl keeps the actor stage for its session
-    state."""
-    cache = _worker_cached(_ROBOTS_CACHE, web_factory,
-                           lambda f: LocalRobotsCache(f().resolve))
+def discover_batch(batch: pa.Table, web_factory, robots_factory,
+                   **filters) -> pa.Table:
+    """Seed URL rows → frontier rows (robots → sitemap recursion →
+    filters), reference discovery semantics, as tasks on the warm
+    worker pool.  The resolver comes from the worker-process web cache
+    and robots rules from the crawl's ``robots_factory`` (the same cache
+    entry the schedule and fetch stages read), so a worker fetches each
+    host's robots.txt once per crawl."""
+    web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
+    robots = _robots_cache(robots_factory)
     rows = []
     for seed, idx in zip(batch.column("seed").to_pylist(),
                          batch.column("seed_idx").to_pylist()):
         rows.extend(discover_seed_frontier(
-            cache.resolve_fn, cache, seed, idx, **filters))
+            web.resolve, robots, seed, idx, **filters))
     return frontier_rows_to_table(rows)
 
 
-_ROBOTS_CACHE: dict[str, LocalRobotsCache] = {}
-
-
-def robots_filter_batch(batch: pa.Table, web_factory) -> pa.Table:
-    """Drop rows the host's robots rules disallow.  Stateless TASK (so
-    it fuses with adjacent map_batches); the per-host rules cache lives
-    in a worker-process global keyed by the factory's pickled content
-    (deterministic content → per-worker caches agree; a real network
-    deployment would consult the shared robots cache actor instead)."""
-    cache = _worker_cached(_ROBOTS_CACHE, web_factory,
-                           lambda f: LocalRobotsCache(f().resolve))
-    hosts = batch.column("host").to_pylist()
-    locs = batch.column("loc").to_pylist()
-    keep = [cache.rules_for(h).allows(u) for h, u in zip(hosts, locs)]
-    return batch.filter(pa.array(keep))
+_ROBOTS_CACHE: dict[str, object] = {}
+_WEB_CACHE: dict[str, object] = {}
 
 
 class FetchStage:
@@ -219,9 +186,6 @@ class FetchStage:
         ).append_column("html", pa.array(htmls, pa.string()))
 
 
-_WEB_CACHE: dict[str, object] = {}
-
-
 def _head(web, loc: str):
     """HEAD against a resolver: use its native ``head`` when present
     (real clients / SyntheticWeb), else fall back to resolve-and-drop
@@ -258,11 +222,14 @@ def _write_chunk_sidecar(docs_tbl: pa.Table, chunk_sink: str,
     """Write this batch's chunk rows straight from the convert task —
     IO fusion that removes the separate read-docs → explode → write
     pass (the chunks are derived data; a failed round's partial sidecar
-    files are discarded with the round on resume)."""
+    files are discarded with the round on resume).  Only 200 pages are
+    chunked: a failed or redirected page has no content to chunk."""
     import hashlib
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
+    docs_tbl = docs_tbl.filter(pc.equal(docs_tbl.column("status"), 200))
     chunk_tbl = chunk_explode_batch(docs_tbl, chunk_size=chunk_size,
                                     chunk_overlap=chunk_overlap,
                                     url_col="url", text_col="payload")
@@ -410,24 +377,6 @@ def crawl_convert_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def _probe_contains(shards, keys: list[str]) -> list[bool]:
-    """contains_many across the shard actors (one call per shard)."""
-    import ray
-
-    from ..state.seen import shard_of
-
-    flags = [False] * len(keys)
-    by_shard: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_shard.setdefault(shard_of(key, len(shards)), []).append(i)
-    refs = [(idxs, shards[s].contains_many.remote([keys[i] for i in idxs]))
-            for s, idxs in by_shard.items()]
-    for idxs, ref in refs:
-        for i, seen in zip(idxs, ray.get(ref)):
-            flags[i] = seen
-    return flags
-
-
 def _group_to_arrow(df, schema: pa.Schema) -> pa.Table:
     """Group-fn output → Arrow block with the fixed schema.  The
     schedule stages return Arrow (not pandas) so string columns leave
@@ -437,35 +386,37 @@ def _group_to_arrow(df, schema: pa.Schema) -> pa.Table:
     return _conform(pa.Table.from_pandas(df, preserve_index=False), schema)
 
 
-def make_host_processor(shards, robots_factory, budget: int,
+def make_host_processor(robots_factory, budget: int,
                         round_seconds: float = 0.0,
                         open_hosts: frozenset | None = None,
                         host_boosts: dict | None = None):
-    """The fused per-host round step (ONE groupby instead of three):
-    intra-round dedup (same seen_key ⟹ same host, so host groups see
-    all duplicates) → URL-seen contains-filter → robots allow →
-    politeness schedule.  Returns the scheduled/deferred rows as an
-    Arrow block.
+    """The per-host round step, the group function of the round's one
+    ``groupby(host)``: intra-round dedup (same seen_key ⟹ same host, so
+    a host group sees all its duplicates) → robots allow → politeness
+    schedule.  Returns the scheduled/deferred rows as an Arrow block.
 
-    ``shards=None`` skips the in-group URL-seen probe: the driver runs
-    the probe as a ``SeenProbe(mode="filter_unseen")`` map_batches stage
-    BEFORE the groupby instead (reads are idempotent, so filtering
-    before intra-round dedup is equivalent), which batches the shard
-    RPCs per BLOCK — probe call count ∝ blocks × shards, not host
-    groups × shards."""
+    The URL-seen filter is not in here: the round runs it as a
+    ``SeenProbe(mode="filter_unseen")`` map stage BEFORE the groupby
+    (reads are idempotent, so filtering before intra-round dedup is
+    equivalent), which batches the shard RPCs per block — probe calls
+    ∝ blocks × shards, not host groups × shards.
+
+    A host group holds that host's whole unseen frontier, and a hot
+    host is not split across tasks: politeness already bounds what a
+    host fetches per round however large its frontier is, no workload
+    has shown a host group that one task cannot fold, and a map-side
+    per-block top-budget pre-cut would defer a URL once for every block
+    that found it, duplicating deferred rows."""
     empty = _SCHEDULE_PA_SCHEMA.empty_table()
 
     def process(df):
         if open_hosts and df["host"].iloc[0] in open_hosts:
             # circuit breaker open: the whole group defers untouched
-            # (no dedup/seen/robots work — it re-runs on re-entry)
+            # (no dedup/robots work — it re-runs on re-entry)
             return _group_to_arrow(schedule_group(df, 0),
                                    _SCHEDULE_PA_SCHEMA)
         df = (df.sort_values(["seq_no", "loc"], kind="mergesort")
               .drop_duplicates("seen_key", keep="first"))
-        if shards is not None:
-            flags = _probe_contains(shards, df["seen_key"].tolist())
-            df = df[[not f for f in flags]]
         if df.empty:
             return empty
         host_rules = _robots_rules(robots_factory, df["host"].iloc[0])
@@ -482,84 +433,19 @@ def make_host_processor(shards, robots_factory, budget: int,
     return process
 
 
-def add_salt_batch(batch: pa.Table, n_salts: int) -> pa.Table:
-    """Salt column for two-stage scheduling: derived from seen_key so
-    duplicate URLs land in the same (host, salt) group."""
-    import zlib
-
-    salts = [zlib.crc32(k.encode()) % n_salts
-             for k in batch.column("seen_key").to_pylist()]
-    return batch.append_column("salt", pa.array(salts, pa.int32()))
-
-
-def make_salted_preprocessor(shards, robots_factory, budget: int,
-                             open_hosts: frozenset | None = None):
-    """Stage 1 of hot-host scheduling: per (host, salt) group — dedup,
-    seen-filter, robots — then keep only the group's top-``budget``
-    rows as *contenders* (the global per-host top-budget is a subset of
-    the union of per-salt top-budgets); the rest defer immediately.
-    Bounds any single pandas group to ~|host rows| / n_salts, so a
-    10^6-URL host can't blow up one scheduler task (SURVEY §7.5).
-    ``shards=None`` skips the in-group probe (pre-filtered upstream —
-    see ``make_host_processor``)."""
-    import numpy as np
-
-    empty = _SALTED_PA_SCHEMA.empty_table()
-
-    def process(df):
-        if open_hosts and df["host"].iloc[0] in open_hosts:
-            # breaker open: nothing contends; rows defer untouched
-            return _group_to_arrow(df.assign(contender=False),
-                                   _SALTED_PA_SCHEMA)
-        df = (df.sort_values(["seq_no", "loc"], kind="mergesort")
-              .drop_duplicates("seen_key", keep="first"))
-        if shards is not None:
-            flags = _probe_contains(shards, df["seen_key"].tolist())
-            df = df[[not f for f in flags]]
-        if len(df):
-            host_rules = _robots_rules(robots_factory, df["host"].iloc[0])
-            df = df[[host_rules.allows(u) for u in df["loc"]]]
-        if df.empty:
-            return empty
-        ordered = order_key_frame(df)
-        return _group_to_arrow(
-            ordered.assign(contender=np.arange(len(ordered)) < budget),
-            _SALTED_PA_SCHEMA)
-
-    return process
-
-
-def make_host_finalizer(budget: int, robots_factory=None,
-                        round_seconds: float = 0.0,
-                        host_boosts: dict | None = None):
-    """Stage 2: schedule the per-host contender union (plain
-    ``schedule_group`` — seen/robots already applied in stage 1; the
-    stage-1 contender cut uses the GLOBAL budget × the max authority
-    boost, which is ≥ every host's boosted, ``Crawl-delay``-capped
-    budget, so the union still contains the final schedule)."""
-    def process(df):
-        boost = host_boosts.get(df["host"].iloc[0], 1) if (
-            host_boosts and not df.empty) else 1
-        host_budget = budget * boost
-        if robots_factory is not None and not df.empty:
-            rules = _robots_rules(robots_factory, df["host"].iloc[0])
-            host_budget = effective_budget(budget * boost, round_seconds,
-                                           rules.crawl_delay)
-        return _group_to_arrow(schedule_group(df, host_budget),
-                               _SCHEDULE_PA_SCHEMA)
-
-    return process
+def _robots_cache(robots_factory):
+    """Per-worker-process cached robots rules provider.
+    ``robots_factory()`` returns any object with ``rules_for(host)`` —
+    ``LocalRobotsCache`` (worker mode: each process fetches/derives
+    rules itself; right for the pure-function synthetic web) or
+    ``ActorRobotsCache`` (actor mode: the sharded robots actor tier
+    fetches each host's robots.txt exactly once cluster-wide; right for
+    real networks)."""
+    return _worker_cached(_ROBOTS_CACHE, robots_factory, lambda f: f())
 
 
 def _robots_rules(robots_factory, host: str):
-    """Per-worker-process cached robots rules.  ``robots_factory()``
-    returns any object with ``rules_for(host)`` — ``LocalRobotsCache``
-    (worker mode: each process fetches/derives rules itself; right for
-    the pure-function synthetic web) or ``ActorRobotsCache`` (actor
-    mode: the sharded robots actor tier fetches each host's robots.txt
-    exactly once cluster-wide; right for real networks)."""
-    cache = _worker_cached(_ROBOTS_CACHE, robots_factory, lambda f: f())
-    return cache.rules_for(host)
+    return _robots_cache(robots_factory).rules_for(host)
 
 
 class _LocalRobotsFactory:
@@ -682,11 +568,6 @@ _SCHEDULE_PA_SCHEMA = pa.schema(
     list(_FRONTIER_PA_SCHEMA)
     + [pa.field("scheduled", pa.bool_()), pa.field("fetch_order", pa.int64())])
 
-# salted pre-stage output: frontier rows + their salt + contender flag
-_SALTED_PA_SCHEMA = pa.schema(
-    list(_FRONTIER_PA_SCHEMA)
-    + [pa.field("salt", pa.int32()), pa.field("contender", pa.bool_())])
-
 
 def conform_frontier_batch(batch: pa.Table) -> pa.Table:
     return _conform(batch, _FRONTIER_PA_SCHEMA)
@@ -694,16 +575,6 @@ def conform_frontier_batch(batch: pa.Table) -> pa.Table:
 
 def conform_schedule_batch(batch: pa.Table) -> pa.Table:
     return _conform(batch, _SCHEDULE_PA_SCHEMA)
-
-
-def _mark_deferred_batch(batch: pa.Table) -> pa.Table:
-    """Salted pre-stage non-contenders → schedule rows with
-    scheduled=False / fetch_order=-1 (same shape the finalizer emits)."""
-    out = _conform(batch, _FRONTIER_PA_SCHEMA)
-    n = out.num_rows
-    out = out.append_column("scheduled", pa.array([False] * n, pa.bool_()))
-    out = out.append_column("fetch_order", pa.array([-1] * n, pa.int64()))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -870,28 +741,53 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
                   freshness_priority: bool = False,
                   resume: bool = False) -> CrawlResult:
     """Run the BSP crawl.  Ray must already be initialised by the caller
-    (driver/bench/tests own the session)."""
+    (entry points, benchmarks and tests own the session).  The crawl's
+    state actors — the URL-seen shards, and the robots shards in actor
+    mode — live exactly as long as this call: they are killed when it
+    returns or raises, not left for the garbage collector."""
+    import ray
+
+    cfg = cfg or EngineConfig()
+    shards = create_seen_shards(cfg.seen_shards, cfg.seen_capacity_per_shard,
+                                cfg.seed)
+    robots_shards: list = []
+    try:
+        if cfg.robots_cache == "actor":
+            # sharded robots cache actors: each host's robots.txt fetched
+            # exactly once cluster-wide (the real-network politeness tier)
+            from ..state.robots import create_robots_shards
+            robots_shards = create_robots_shards(cfg.robots_shards,
+                                                 web_factory)
+            robots_factory = _ActorRobotsFactory(robots_shards)
+        else:
+            # worker mode: per-process rules cache; right for the
+            # synthetic pure-function web where a "fetch" is a
+            # deterministic compute
+            robots_factory = _LocalRobotsFactory(web_factory)
+        filters = dict(min_priority=min_priority,
+                       include_patterns=include_patterns,
+                       exclude_patterns=exclude_patterns, limit=limit,
+                       freshness_priority=freshness_priority)
+        return _crawl_rounds(web_factory, seed_urls, out_dir, cfg, shards,
+                             robots_factory, filters, resume)
+    finally:
+        for actor in shards + robots_shards:
+            ray.kill(actor)
+
+
+def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
+                  cfg: EngineConfig, shards, robots_factory, filters: dict,
+                  resume: bool) -> CrawlResult:
+    """Discovery (or resume) and the BSP rounds of ``run_crawl_ray``,
+    over state actors the caller owns."""
     import ray
     import ray.data as rd
 
-    cfg = cfg or EngineConfig()
     # clamp actor pools to the cluster so a fixed-size pool can't wait
     # forever for CPUs that don't exist (single-node test sessions)
     total_cpus = int(ray.cluster_resources().get("CPU", 4))
     fetch_conc = max(1, min(cfg.fetch_concurrency, total_cpus - 2))
     budget = round_budget(cfg.requests_per_second, cfg.round_seconds)
-    shards = create_seen_shards(cfg.seen_shards, cfg.seen_capacity_per_shard,
-                                cfg.seed)
-    if cfg.robots_cache == "actor":
-        # sharded robots cache actors: each host's robots.txt fetched
-        # exactly once cluster-wide (the real-network politeness tier)
-        from ..state.robots import create_robots_shards
-        robots_factory = _ActorRobotsFactory(
-            create_robots_shards(cfg.robots_shards, web_factory))
-    else:
-        # worker mode: per-process rules cache; right for the synthetic
-        # pure-function web where a "fetch" is a deterministic compute
-        robots_factory = _LocalRobotsFactory(web_factory)
     result = CrawlResult(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -938,11 +834,8 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
             override_num_blocks=n_seed_blocks)
         frontier = seeds.map_batches(
             discover_batch, batch_format="pyarrow", batch_size=1,
-            fn_kwargs=dict(
-                web_factory=web_factory, min_priority=min_priority,
-                include_patterns=include_patterns,
-                exclude_patterns=exclude_patterns, limit=limit,
-                freshness_priority=freshness_priority)
+            fn_kwargs=dict(web_factory=web_factory,
+                           robots_factory=robots_factory, **filters)
         ).materialize()  # frontier rows are metadata-sized
     result.t_discovery = round(_time.time() - t_disc, 2)
 
@@ -960,14 +853,13 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
         timings: dict[str, float] = {}
         t0 = _time.time()
 
-        # a–d fused: dedup + seen-filter + robots + schedule around ONE
-        # groupby(host) (two keyed stages when schedule_salts > 1, which
-        # bounds the per-task group size for hot hosts).  The URL-seen
-        # probe runs as a map_batches stage BEFORE the groupby: reads
-        # are idempotent, so filtering pre-dedup is equivalent, and the
-        # shard RPC count is ∝ blocks × shards instead of host groups ×
-        # shards (a 10^5-host round would otherwise issue 10^5
-        # synchronous probe fan-outs from inside the group fns)
+        # a–d: seen-filter, then dedup + robots + schedule around ONE
+        # groupby(host).  The URL-seen probe runs as a map_batches stage
+        # BEFORE the groupby: reads are idempotent, so filtering
+        # pre-dedup is equivalent, and the shard RPC count is ∝ blocks ×
+        # shards instead of host groups × shards (a 10^5-host round
+        # would otherwise make 10^5 synchronous probe fan-outs from
+        # inside the group fns)
         open_hosts = frozenset(
             h for h, (streak, ou) in breaker.items() if ou > round_no)
         host_boosts: dict = {}
@@ -977,43 +869,15 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
             host_boosts = authority_multipliers(
                 local_pagerank_hosts(host_edges, cfg.authority_iters),
                 cfg.authority_boost)
-        unseen = frontier.map_batches(
-            SeenProbe(shards, mode="filter_unseen"), batch_format="pyarrow")
-        if cfg.schedule_salts > 1:
-            # stage-1 contender cut: global budget × MAX boost — a
-            # superset of every host's boosted final budget, so the
-            # per-host boost dict only needs to reach stage 2
-            cut_budget = budget * (max(host_boosts.values())
-                                   if host_boosts else 1)
-            pre = unseen.map_batches(
-                add_salt_batch, batch_format="pyarrow",
-                fn_kwargs=dict(n_salts=cfg.schedule_salts)
-            ).groupby(["host", "salt"]).map_groups(
-                make_salted_preprocessor(None, robots_factory, cut_budget,
-                                         open_hosts=open_hosts),
-                batch_format="pandas")
-            pre = pre.materialize()  # branched by two filters below —
-            # without this the groupby + seen-probe RPCs would run twice
-            contenders = pre.filter(expr="contender == True")
-            salted_out = pre.filter(expr="contender == False").map_batches(
-                _mark_deferred_batch, batch_format="pyarrow")
-            final = contenders.groupby("host").map_groups(
-                make_host_finalizer(budget, robots_factory,
-                                    cfg.round_seconds,
-                                    host_boosts=host_boosts),
-                batch_format="pandas")
-            schedule = (final.map_batches(conform_schedule_batch,
-                                          batch_format="pyarrow")
-                        .union(salted_out)).materialize()
-        else:
-            schedule = unseen.groupby("host").map_groups(
-                make_host_processor(None, robots_factory, budget,
-                                    cfg.round_seconds,
-                                    open_hosts=open_hosts,
-                                    host_boosts=host_boosts),
-                batch_format="pandas"
-            ).map_batches(conform_schedule_batch, batch_format="pyarrow"
-                          ).materialize()
+        schedule = frontier.map_batches(
+            SeenProbe(shards, mode="filter_unseen"), batch_format="pyarrow"
+        ).groupby("host").map_groups(
+            make_host_processor(robots_factory, budget, cfg.round_seconds,
+                                open_hosts=open_hosts,
+                                host_boosts=host_boosts),
+            batch_format="pandas"
+        ).map_batches(conform_schedule_batch, batch_format="pyarrow"
+                      ).materialize()
         timings["schedule"] = round(_time.time() - t0, 2)
 
         # checkpoint writes run CONCURRENTLY with the fetch/convert

@@ -13,8 +13,8 @@ Ray-Data-first composition of the two scale-safe shapes:
   true event order is only needed *within* a key, so the group fn
   sorts its own group and emits exact ordered results.  Partitioning
   assumption (same as the sessionize query documents): one key's
-  history fits one worker.  Hot keys would need the salt-and-two-stage
-  treatment the crawl scheduler uses (pipelines/crawl.py).
+  history fits one worker.  Hot keys would need a salted two-stage
+  split (the shape ``joins.salted_hash_join`` uses).
 
 The reference has no analytics module — these are the training-data
 pipeline additions (SURVEY §2.8 extension); every operator has a DuckDB

@@ -11,8 +11,8 @@ bucket, and the in-bucket groupby is exact.
 
 Skew note: a single hot key still bounds a bucket's size from below;
 operators whose per-key work is superlinear (none of the current
-callers — they all sort + linear-scan) would need the crawl
-scheduler's salt-and-two-stage treatment instead.
+callers — they all sort + linear-scan) would need a salted
+two-stage split instead (the shape ``joins.salted_hash_join`` uses).
 """
 
 from __future__ import annotations

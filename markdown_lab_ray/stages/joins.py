@@ -584,9 +584,8 @@ def salted_hash_join(left_ds, right_ds, key: str, salt_col: str,
     hash of ``salt_col`` (a left column, e.g. the row id, so the salt
     is layout-independent), and every right row replicates once per
     salt (the classic skew-join trade: n_salt× the SMALL side's rows
-    buys n_salt-way parallelism on the hot key).  This is the
-    standalone form of the crawl scheduler's salted two-stage groupby
-    (north rule: "host-key skew via salted repartitioning").
+    buys n_salt-way parallelism on the hot key; north rule: "host-key
+    skew via salted repartitioning").
 
     Same ONE-shuffle union+groupby shape as ``bucketed_hash_join``;
     the group key is ``hash(key) % n_buckets`` crossed with the salt,

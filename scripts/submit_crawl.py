@@ -31,7 +31,6 @@ def main() -> int:
     parser.add_argument("--rps", type=float, default=2.0)
     parser.add_argument("--max-rounds", type=int, default=5)
     parser.add_argument("--max-depth", type=int, default=2)
-    parser.add_argument("--salts", type=int, default=0)
     parser.add_argument("--resume", action="store_true")
     args = parser.parse_args()
 
@@ -50,7 +49,7 @@ def main() -> int:
                     n_images=args.images)
     cfg = EngineConfig.from_env(
         requests_per_second=args.rps, max_rounds=args.max_rounds,
-        max_depth=args.max_depth, schedule_salts=args.salts)
+        max_depth=args.max_depth)
 
     t0 = time.time()
     res = run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(),

@@ -1,4 +1,3 @@
-from markdown_lab_ray.config import EngineConfig
 from markdown_lab_ray.sources.synth import SiteSpec, SyntheticWeb
 from markdown_lab_ray.state.cache import CachedResolver
 
@@ -41,26 +40,6 @@ def test_cached_resolver_over_synthetic_web():
     first = cache.resolve(url)
     second = cache.resolve(url)
     assert first == second and cache.hit_rate == 0.5
-
-
-def test_salted_schedule_equals_unsalted(ray_session, tmp_path):
-    """schedule_salts must not change crawl order or seen set."""
-    from markdown_lab_ray.pipelines.crawl import read_crawl_order, run_crawl_ray
-
-    spec = SiteSpec(n_hosts=5, pages_per_host=10, n_images=30)
-    base = dict(requests_per_second=0.05, round_seconds=60.0, max_rounds=3,
-                max_depth=1, seen_shards=4, fetch_concurrency=2)
-    plain_dir = str(tmp_path / "plain")
-    salted_dir = str(tmp_path / "salted")
-    run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), plain_dir,
-                  EngineConfig(**base))
-    run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), salted_dir,
-                  EngineConfig(**base, schedule_salts=4))
-
-    plain = read_crawl_order(plain_dir)
-    salted = read_crawl_order(salted_dir)
-    assert plain["loc"].tolist() == salted["loc"].tolist()
-    assert set(plain["seen_key"]) == set(salted["seen_key"])
 
 
 def test_synthetic_web_conditional_revalidation():

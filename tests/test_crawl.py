@@ -270,3 +270,134 @@ def test_links_explode_vectorized_parity():
         "links": pa.array([["http://a.com/x", None, "https://b.com/y"]],
                           pa.large_list(pa.string()))})
     assert links_explode_batch(big).num_rows == 2
+
+
+class _CountingWebFactory:
+    """Synthetic web factory whose webs append one line per robots.txt
+    resolve to ``log_path`` (the factory's pickled content — spec and
+    path — never changes, so the worker caches key it stably)."""
+
+    def __init__(self, spec, log_path):
+        self.spec = spec
+        self.log_path = log_path
+
+    def __call__(self):
+        return _CountingWeb(self.spec, self.log_path)
+
+
+class _CountingWeb(SyntheticWeb):
+    def __init__(self, spec, log_path):
+        super().__init__(spec)
+        self.log_path = log_path
+
+    def resolve(self, url):
+        if url.endswith("/robots.txt"):
+            with open(self.log_path, "a") as f:
+                f.write(url + "\n")
+        return super().resolve(url)
+
+
+def test_discovery_and_schedule_share_one_robots_fetch(tmp_path):
+    """Discovery and the schedule stage read robots rules through the
+    same worker-process cache: one robots.txt resolve per host, not one
+    per stage (no Ray session — both stages run in this process)."""
+    import pyarrow as pa
+
+    from markdown_lab_ray.pipelines.crawl import (_LocalRobotsFactory,
+                                                  _robots_rules,
+                                                  discover_batch)
+
+    log = str(tmp_path / "robots.log")
+    web_factory = _CountingWebFactory(SPEC, log)
+    robots_factory = _LocalRobotsFactory(web_factory)
+    seeds = SPEC.seed_urls()
+    batch = pa.table({"seed": seeds, "seed_idx": list(range(len(seeds)))})
+    assert discover_batch(batch, web_factory, robots_factory).num_rows > 0
+    for host in SPEC.hosts():
+        _robots_rules(robots_factory, host)
+    with open(log) as f:
+        resolved = sorted(f.read().split())
+    assert resolved == sorted(f"https://{h}/robots.txt" for h in SPEC.hosts())
+
+
+def _alive_actor_ids(class_suffixes) -> set:
+    from ray._private.state import actors
+
+    return {aid for aid, a in actors().items()
+            if a["State"] == "ALIVE"
+            and a["ActorClassName"].endswith(class_suffixes)}
+
+
+def test_crawl_kills_its_state_actors(ray_session, tmp_path):
+    """``run_crawl_ray`` kills its seen shards and (actor mode) robots
+    shards when it returns and when it raises, without waiting for the
+    garbage collector (disabled while we look)."""
+    import gc
+    import time
+
+    from markdown_lab_ray.pipelines.crawl import run_crawl_ray
+
+    kinds = (".SeenShard", ".RobotsShard")
+    spec = SiteSpec(n_hosts=2, pages_per_host=4, n_images=8)
+    cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
+                       max_rounds=2, max_depth=1, seen_shards=2,
+                       fetch_concurrency=2, robots_cache="actor",
+                       robots_shards=2)
+
+    def broken_web():
+        raise RuntimeError("web down")
+
+    before = _alive_actor_ids(kinds)
+    for name, factory in (("ok", lambda: SyntheticWeb(spec)),
+                          ("raises", broken_web)):
+        gc.disable()
+        try:
+            raised = False
+            try:
+                run_crawl_ray(factory, spec.seed_urls(),
+                              str(tmp_path / name), cfg)
+            except Exception:
+                raised = True
+            assert raised == (name == "raises")
+            deadline = time.monotonic() + 10
+            while (_alive_actor_ids(kinds) - before
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not _alive_actor_ids(kinds) - before, name
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("fetch_mode", ["actors", "tasks"])
+def test_crawl_chunks_only_ok_pages(ray_session, tmp_path, fetch_mode):
+    """Failed (5xx) and redirected (3xx) pages have no content: the
+    chunk sidecar holds the 200 pages' chunks and nothing else."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from markdown_lab_ray.pipelines.crawl import run_crawl_ray
+
+    spec = SiteSpec(n_hosts=3, pages_per_host=8, n_images=10,
+                    error_host_every=2, redirect_every=3)
+    cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
+                       max_rounds=2, max_depth=1, seen_shards=2,
+                       fetch_concurrency=2, fetch_mode=fetch_mode)
+    out = str(tmp_path / "crawl")
+    run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
+
+    def read(kind, cols):
+        return pa.concat_tables(
+            pq.read_table(f, columns=cols) for f in sorted(glob.glob(
+                f"{out}/rounds/round=*/{kind}/*.parquet")))
+
+    docs = read("docs", ["url", "status"]).to_pydict()
+    statuses = set(docs["status"])
+    assert 200 in statuses
+    assert any(300 <= s < 400 for s in statuses)
+    assert any(s >= 500 for s in statuses)
+    ok = {u for u, s in zip(docs["url"], docs["status"]) if s == 200}
+    chunk_urls = set(read("chunks", ["source_url"])
+                     .column("source_url").to_pylist())
+    assert chunk_urls == ok

@@ -70,22 +70,6 @@ def test_ray_crawl_delay_matches_oracle(ray_session, tmp_path):
     assert result.fetched == oracle["fetched"]
 
 
-def test_ray_crawl_delay_salted_matches_oracle(ray_session, tmp_path):
-    """The two-stage salted scheduler must apply the same per-host cap
-    (stage-1 contenders use the global budget, stage-2 the capped one)."""
-    from markdown_lab_ray.pipelines.crawl import (read_crawl_order,
-                                                  run_crawl_ray)
-
-    cfg = EngineConfig(**{**CFG.__dict__, "schedule_salts": 3})
-    oracle = run_crawl_oracle(SyntheticWeb(SPEC).resolve,
-                              SPEC.seed_urls(), cfg)
-    out = str(tmp_path / "crawl_salted")
-    run_crawl_ray(lambda: SyntheticWeb(SPEC), SPEC.seed_urls(), out, cfg)
-    order = read_crawl_order(out)
-    assert order["loc"].tolist() == oracle["order"]
-    assert set(order["seen_key"]) == oracle["seen"]
-
-
 def test_fetch_pacer_uses_delay_rate(ray_session):
     """The realtime pacer's bucket rate for a delayed host is 1/delay,
     not the configured rps (injected clock/sleeper — no real sleeping)."""
