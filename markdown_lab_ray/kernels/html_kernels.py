@@ -9,6 +9,8 @@ reference's Rust parser/converter front half:
 - ``resolve_url``                            (ref ``src/html_parser.rs:268-278``)
 - ``get_element_text``                       (ref ``src/html_parser.rs:293-301``)
 - ``parse_html_to_document``                 (ref ``src/markdown_converter.rs:76-323``)
+- ``convert_page``: the Document and ``extract_links``'s links from one
+  parse and one walk (the crawl's kernel)
 
 Intentional quirks preserved (SURVEY.md §7.5): headings are emitted in
 level order h1..h6 then document order within a level; the ``pre, code``
@@ -45,26 +47,19 @@ _UNWANTED_CLASSES = frozenset(
 _UNWANTED_IDS = frozenset(["cookie-notice"])
 
 
-def clean_dom(root: Node) -> Node:
-    """Remove unwanted elements from a parsed tree, in place.
+def _is_unwanted(node: Node) -> bool:
+    """Whether an element matches UNWANTED_SELECTOR, as set membership
+    over exactly its element list (kept in sync; a test asserts
+    equivalence)."""
+    return (node.tag in _UNWANTED_TAGS
+            or node.attrs.get("id") in _UNWANTED_IDS
+            or ("class" in node.attrs
+                and not _UNWANTED_CLASSES.isdisjoint(node.classes())))
 
-    Set-membership fast path over one walk — exactly the element list of
-    UNWANTED_SELECTOR (kept in sync; test asserts equivalence)."""
-    doomed = []
-    stack = list(reversed(root.children))
-    while stack:
-        node = stack.pop()
-        if node.tag is None:
-            continue
-        if (node.tag in _UNWANTED_TAGS
-                or node.attrs.get("id") in _UNWANTED_IDS
-                or ("class" in node.attrs
-                    and not _UNWANTED_CLASSES.isdisjoint(node.classes()))):
-            doomed.append(node)
-            continue  # children die with the subtree
-        stack.extend(reversed(node.children))
-    for node in doomed:
-        node.detach()
+
+def clean_dom(root: Node) -> Node:
+    """Remove unwanted elements from a parsed tree, in place."""
+    _walk(root)
     return root
 
 
@@ -173,30 +168,37 @@ def get_element_text(el: Node) -> str:
     return " ".join(" ".join(parts).split())
 
 
+def _resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
+    """The ``extract_links`` href rule: only ``javascript:`` / ``#`` /
+    empty are skipped, and already-absolute http(s) hrefs are passed
+    through verbatim (no normalization).  Unique, sorted."""
+    out = set()
+    for href in hrefs:
+        if not href or href.startswith(("javascript:", "#")):
+            continue
+        if href.startswith(("http://", "https://")):
+            out.add(href)
+        else:
+            resolved = _norm_join(base_url, href)
+            if resolved is not None:
+                out.add(resolved)
+    return sorted(out)
+
+
 def extract_links(html: str, base_url: str) -> list[str]:
     """Unique absolute URLs from ``a[href]``, sorted
     (ref ``src/html_parser.rs:214-252``).
 
-    Predicate here differs from the Document pass: only ``javascript:`` /
-    ``#`` / empty are skipped, and already-absolute http(s) hrefs are
-    passed through verbatim (no normalization).
+    The select-based reference for the links ``convert_page`` collects
+    in its walk.  Its predicate differs from the Document link pass
+    (see ``_resolve_hrefs``), and it reads the uncleaned tree.
     """
-    root = parse_html(html)
-    base_parts = urlsplit(base_url)
-    if not base_parts.scheme:
+    if not urlsplit(base_url).scheme:
         raise ValueError(f"invalid base url {base_url!r}")
-    seen_order: list[str] = []
-    for el in root.select("a[href]"):
-        href = el.attrs.get("href", "")
-        if not href or href.startswith(("javascript:", "#")):
-            continue
-        if href.startswith(("http://", "https://")):
-            seen_order.append(href)
-        else:
-            resolved = _norm_join(base_url, href)
-            if resolved is not None:
-                seen_order.append(resolved)
-    return sorted(set(seen_order))
+    root = parse_html(html)
+    return _resolve_hrefs(
+        [el.attrs.get("href", "") for el in root.select("a[href]")],
+        base_url)
 
 
 def _el_text(el: Node) -> str:
@@ -208,38 +210,68 @@ _DOC_TAGS = frozenset(
      "h1", "h2", "h3", "h4", "h5", "h6"])
 
 
-def _index_elements(root: Node) -> dict[str, list[Node]]:
-    """ONE pre-order walk collecting the tags the Document needs, in
-    document order (replaces 15 full-tree ``select`` walks — the same
-    optimization as the reference's cached selectors, T6)."""
+def _walk(root: Node, hrefs: Optional[list[str]] = None
+          ) -> dict[str, list[Node]]:
+    """ONE pre-order walk over a parsed tree.  It detaches the unwanted
+    subtrees (``_is_unwanted``) and returns the Document tags outside
+    them, in document order (one walk instead of 15 full-tree
+    ``select`` walks — the reference's cached selectors, T6).  Given an
+    ``hrefs`` list, it also appends every ``a[href]`` value of the
+    whole uncleaned tree, unwanted subtrees included, which is what
+    ``extract_links`` sees."""
     index: dict[str, list[Node]] = {tag: [] for tag in _DOC_TAGS}
     index["__pre_code"] = []  # `pre, code` interleaved in document order
+    doomed = []
     stack = list(reversed(root.children))
     while stack:
         node = stack.pop()
-        if node.tag is not None:
-            bucket = index.get(node.tag)
-            if bucket is not None:
-                bucket.append(node)
-                if node.tag in ("pre", "code"):
-                    index["__pre_code"].append(node)
-            stack.extend(reversed(node.children))
+        if node.tag is None:
+            continue
+        if hrefs is not None and node.tag == "a" and "href" in node.attrs:
+            hrefs.append(node.attrs["href"])
+        if _is_unwanted(node):
+            doomed.append(node)
+            if hrefs is not None:
+                hrefs.extend(el.attrs["href"] for el in node.iter_elements()
+                             if el.tag == "a" and "href" in el.attrs)
+            continue  # children die with the subtree
+        bucket = index.get(node.tag)
+        if bucket is not None:
+            bucket.append(node)
+            if node.tag in ("pre", "code"):
+                index["__pre_code"].append(node)
+        stack.extend(reversed(node.children))
+    for node in doomed:
+        node.detach()
     return index
 
 
-def parse_html_to_document(html: str, base_url: str) -> dict:
-    """Full page → Document dict (ref ``src/markdown_converter.rs:76-94``).
-
-    Key order matches the reference struct so JSON serialization is
-    field-for-field identical.
-    """
+def _check_base_url(base_url: str) -> None:
     parts = urlsplit(base_url)
     if not parts.scheme or not parts.netloc:
         raise ValueError(f"invalid base url {base_url!r}")
 
-    root = clean_dom(parse_html(html))
-    index = _index_elements(root)
 
+def convert_page(html: str, base_url: str) -> tuple[dict, list[str]]:
+    """Full page → (Document dict, ``extract_links`` links) from one
+    parse and one walk: the crawl's convert kernel."""
+    _check_base_url(base_url)
+    hrefs: list[str] = []
+    index = _walk(parse_html(html), hrefs)
+    return _document(index, base_url), _resolve_hrefs(hrefs, base_url)
+
+
+def parse_html_to_document(html: str, base_url: str) -> dict:
+    """Full page → Document dict (ref ``src/markdown_converter.rs:76-94``):
+    ``convert_page`` without the links."""
+    _check_base_url(base_url)
+    return _document(_walk(parse_html(html)), base_url)
+
+
+def _document(index: dict[str, list[Node]], base_url: str) -> dict:
+    """The Document of a walked, cleaned tree.  Key order matches the
+    reference struct so JSON serialization is field-for-field
+    identical."""
     title_els = index["title"]
     title = (title_els[0].text_content() if title_els else "No Title").strip()
 

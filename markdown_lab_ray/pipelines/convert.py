@@ -86,11 +86,11 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
                         chunk_overlap: int = 200) -> pa.Table:
     """Fetch each URL directly (NO sitemap discovery — the reference
     `batch` verb fetches the listed links as-is, scraper.py:444-598),
-    parse, render to ``fmt``.  Worker-process-cached resolver; failures
-    become status rows (S3 tolerance)."""
-    from ..kernels.html_kernels import parse_html_to_document
+    convert (``convert_row``), render to ``fmt``.  Worker-process-cached
+    resolver; failures become status rows with the empty Document (S3
+    tolerance)."""
     from ..kernels.render import render_document
-    from ..stages.convert import EMPTY_DOC
+    from ..stages.convert import convert_row
     from .crawl import _WEB_CACHE, _worker_cached
 
     web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
@@ -98,14 +98,8 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
     statuses, titles, payloads = [], [], []
     for loc in urls:
         status, body = web.resolve(loc)
-        html = body if isinstance(body, str) else ""
-        if status != 200 or not html:
-            doc = dict(EMPTY_DOC, base_url=loc)
-        else:
-            try:
-                doc = parse_html_to_document(html, loc)
-            except Exception:
-                doc = dict(EMPTY_DOC, base_url=loc)
+        doc, _ = convert_row(loc, status,
+                             body if isinstance(body, str) else "")
         statuses.append(status)
         titles.append(doc["title"])
         payloads.append(render_document(doc, fmt))

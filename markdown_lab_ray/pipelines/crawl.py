@@ -35,12 +35,11 @@ logger = logging.getLogger("markdown_lab_ray.crawl")
 _WARNED_SERIAL_CKPT = False
 
 from ..config import EngineConfig
-from ..kernels.html_kernels import extract_links, parse_html_to_document
 from ..kernels.render import document_to_markdown
 from ..state.politeness import effective_budget, round_budget, schedule_group
 from ..state.robots import LocalRobotsCache
 from ..state.seen import SeenProbe, create_seen_shards
-from ..stages.convert import EMPTY_DOC, chunk_explode_batch
+from ..stages.convert import chunk_explode_batch, convert_row
 from .crawl_spec import discover_seed_frontier
 
 from ..stages.schemas import FRONTIER_SCHEMA as _FRONTIER_PA_SCHEMA
@@ -267,7 +266,10 @@ def fetch_convert_batch(batch: pa.Table, web_factory, chunk_sink=None,
 
 
 class FetchConvertStage(FetchStage):
-    """Fused fetch + parse + render actor stage — the crawl's hot path.
+    """Fused fetch + convert + render actor stage — the crawl's hot
+    path.  Each fetched page is converted once by ``crawl_convert_batch``
+    (one parse and one walk per page, the empty Document for any page
+    that failed), then rendered to Markdown.
 
     Fetched HTML never leaves the actor process (only the much smaller
     docs rows hit the object store), and one pool owns the round's CPU
@@ -294,75 +296,25 @@ class FetchConvertStage(FetchStage):
         return docs_tbl
 
 
-# per-worker-process memo for the fused convert path: a RECRAWL of an
-# unchanged page (the 304 revalidation path serves the identical body
-# from cache) skips the parse+render entirely.  Keyed by (md5(html),
-# loc) — the base URL participates in link resolution, so the same
-# body on two URLs renders differently and must not share an entry.
-_CONVERT_MEMO: "OrderedDict[tuple, tuple]" = None  # type: ignore
-_CONVERT_MEMO_CAP = 512
-
-
-def _convert_memoized(html: str, loc: str):
-    """(title, payload, links, images) for a 200 page, LRU-memoized per
-    worker process."""
-    import hashlib
-    from collections import OrderedDict
-
-    global _CONVERT_MEMO
-    if _CONVERT_MEMO is None:
-        _CONVERT_MEMO = OrderedDict()
-    key = (hashlib.md5(html.encode()).hexdigest(), loc)
-    hit = _CONVERT_MEMO.get(key)
-    if hit is not None:
-        _CONVERT_MEMO.move_to_end(key)
-        return hit
-    try:
-        doc = parse_html_to_document(html, loc)
-        links = extract_links(html, loc)
-    except Exception:
-        doc, links = dict(EMPTY_DOC, base_url=loc), []
-    out = (doc["title"], document_to_markdown(doc), links, doc["images"])
-    _CONVERT_MEMO[key] = out
-    if len(_CONVERT_MEMO) > _CONVERT_MEMO_CAP:
-        _CONVERT_MEMO.popitem(last=False)
-    return out
-
-
 def crawl_convert_batch(batch: pa.Table) -> pa.Table:
     """Fetched pages → docs rows: title, markdown payload, outgoing
-    links (M3 semantics), image (alt, src) pairs.  One parse per page
-    (memoized against recrawls of unchanged content); chunks and
-    next-round frontier rows both derive from this table."""
+    links (M3 semantics; a redirect's target for 3xx rows), image
+    (alt, src) pairs.  Each page goes through ``convert_row`` once: one
+    parse and one walk give its Document and links, and every failed
+    page the empty Document.  Chunks and next-round frontier rows both
+    derive from this table."""
     locs = batch.column("loc").to_pylist()
     htmls = batch.column("html").to_pylist()
     statuses = batch.column("status").to_pylist()
     depths = batch.column("depth").to_pylist()
 
-    from ..kernels.urls import redirect_target
-
     titles, payloads, links_col, images_col = [], [], [], []
     for loc, html, status in zip(locs, htmls, statuses):
-        if 300 <= status < 400:
-            # the body is the Location; the target rides the links
-            # column into the next round's frontier (kernels/urls.py
-            # redirect_target documents why we never follow inline)
-            target = redirect_target(status, html, loc)
-            doc = dict(EMPTY_DOC, base_url=loc)
-            title, payload, links, images = (
-                doc["title"], document_to_markdown(doc),
-                [target] if target else [], doc["images"])
-        elif status != 200 or not html:
-            doc = dict(EMPTY_DOC, base_url=loc)
-            title, payload, links, images = (
-                doc["title"], document_to_markdown(doc), [],
-                doc["images"])
-        else:
-            title, payload, links, images = _convert_memoized(html, loc)
-        titles.append(title)
-        payloads.append(payload)
+        doc, links = convert_row(loc, status, html, with_links=True)
+        titles.append(doc["title"])
+        payloads.append(document_to_markdown(doc))
         links_col.append(links)
-        images_col.append(images)
+        images_col.append(doc["images"])
 
     return pa.table({
         "url": pa.array(locs, pa.string()),
@@ -596,14 +548,16 @@ def _round_dir(out_dir: str, round_no: int) -> str:
 
 
 def _read_frontier(path: str):
-    """read_parquet that tolerates an empty checkpoint directory."""
+    """read_parquet that tolerates an empty checkpoint directory.  No
+    hive partitioning: the ``round=N`` directory above the checkpoint
+    must not come back as an extra ``round`` column."""
     import glob
 
     import ray.data as rd
 
     if not glob.glob(os.path.join(path, "*.parquet")):
         return rd.from_arrow(frontier_rows_to_table([]))
-    return rd.read_parquet(path)
+    return rd.read_parquet(path, partitioning=None)
 
 
 def _update_breaker(breaker: dict, docs_dir: str, round_no: int,
@@ -839,6 +793,13 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
         ).materialize()  # frontier rows are metadata-sized
     result.t_discovery = round(_time.time() - t_disc, 2)
 
+    # wait for the seen shards' process start-up once, here, so it
+    # overlaps discovery instead of landing in the first round's
+    # schedule phase; recorded in that round's manifest
+    t0 = _time.time()
+    ray.get([s.size.remote() for s in shards])
+    actors_start = round(_time.time() - t0, 2)
+
     for round_no in range(start_round, cfg.max_rounds):
         rdir = _round_dir(out_dir, round_no)
         if frontier.count() == 0:
@@ -850,7 +811,9 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             import shutil
             shutil.rmtree(rdir)
         os.makedirs(rdir, exist_ok=True)
-        timings: dict[str, float] = {}
+        timings: dict[str, float] = (
+            {"actors_start": actors_start} if round_no == start_round
+            else {})
         t0 = _time.time()
 
         # a–d: seen-filter, then dedup + robots + schedule around ONE

@@ -1,10 +1,15 @@
-"""Parse / render / chunk / link batch stages.
+"""Parse / render / chunk batch stages and the one page → Document row.
 
-Each is a plain function for ``Dataset.map_batches(batch_format="pyarrow",
-zero_copy_batch=True)``.  Parsing is inherently per-document CPU work
-(the reference is too: one html5ever parse per page); the batch wrappers
-keep everything else vectorized — Arrow column construction, no pandas
-round-trips, schema-stable outputs.
+Each stage is a plain function for ``Dataset.map_batches(
+batch_format="pyarrow", zero_copy_batch=True)``.  Every page becomes a
+Document through ``convert_row``: one parse and one walk of the page
+(``kernels.html_kernels.convert_page``), and one fallback, the empty
+Document, for a page that failed, redirected or did not parse.  The
+batch convert stages here, the crawl's ``crawl_convert_batch`` and the
+batch verb's ``_fetch_render_batch`` all call it.  Parsing is inherently
+per-document CPU work (the reference is too: one html5ever parse per
+page); the batch wrappers keep everything else vectorized — Arrow column
+construction, no pandas round-trips, schema-stable outputs.
 
 Scale notes: HTML rows can be multi-MB, so callers bound ``batch_size``
 (EngineConfig.parse_batch_size).  These stages are stateless pure
@@ -22,17 +27,17 @@ from ..kernels.chunker import (
     chunk_markdown_char,
     create_semantic_chunks,
 )
-from ..kernels.html_kernels import extract_links, parse_html_to_document
+from ..kernels.html_kernels import convert_page, parse_html_to_document
 from ..kernels.render import (
     FORMATTERS,
     document_to_markdown,
     render_document,
 )
+from ..kernels.urls import redirect_target
 from .schemas import (
     CHAR_CHUNKS_SCHEMA,
     CHUNKS_SCHEMA,
     DOCUMENT_T,
-    LINKS_SCHEMA,
     RENDERED_SCHEMA,
 )
 
@@ -43,19 +48,35 @@ EMPTY_DOC = {
 }
 
 
+def convert_row(url: str, status: int, html,
+                with_links: bool = False) -> tuple[dict, list[str]]:
+    """One fetched page → (Document, links).  A 200 page with a body
+    goes through ``convert_page`` (or, without ``with_links``, through
+    ``parse_html_to_document``: only the crawl pays for link
+    resolution).  Every other page — another status, an empty body, or
+    a parse that raised — yields the empty Document rather than
+    aborting the batch (reference S3 semantics: per-URL error
+    tolerance).  With ``with_links``, a 3xx page's links are its
+    redirect target: the body is the Location, and the target rides the
+    links column into the crawl's next frontier (``redirect_target``
+    documents why the crawl never follows inline)."""
+    if status == 200 and html:
+        try:
+            if with_links:
+                return convert_page(html, url)
+            return parse_html_to_document(html, url), []
+        except Exception:
+            pass
+    target = redirect_target(status, html, url) if with_links else None
+    return dict(EMPTY_DOC, base_url=url), [target] if target else []
+
+
 def parse_batch(batch: pa.Table, url_col: str = "url",
                 html_col: str = "html") -> pa.Table:
-    """(url, html) → (url, doc struct).  Failed parses yield an empty
-    Document rather than aborting the batch (reference S3 semantics:
-    per-URL error tolerance)."""
-    urls = batch.column(url_col).to_pylist()
-    htmls = batch.column(html_col).to_pylist()
-    docs = []
-    for url, html in zip(urls, htmls):
-        try:
-            docs.append(parse_html_to_document(html or "", url))
-        except Exception:
-            docs.append(dict(EMPTY_DOC, base_url=url))
+    """(url, html) → (url, doc struct), one ``convert_row`` per page."""
+    docs = [convert_row(url, 200, html)[0]
+            for url, html in zip(batch.column(url_col).to_pylist(),
+                                 batch.column(html_col).to_pylist())]
     return pa.table({
         "url": batch.column(url_col),
         "doc": pa.array(docs, type=DOCUMENT_T),
@@ -136,24 +157,6 @@ def char_chunk_explode_batch(batch: pa.Table, chunk_size: int = 1000,
     return pa.table(cols, schema=CHAR_CHUNKS_SCHEMA)
 
 
-def extract_links_batch(batch: pa.Table, url_col: str = "url",
-                        html_col: str = "html") -> pa.Table:
-    """(url, html) → (src_url, dst_url) edge rows, per-row sorted+deduped
-    (reference M3 semantics)."""
-    src, dst = [], []
-    for url, html in zip(batch.column(url_col).to_pylist(),
-                         batch.column(html_col).to_pylist()):
-        try:
-            links = extract_links(html or "", url)
-        except Exception:
-            links = []
-        src.extend([url] * len(links))
-        dst.extend(links)
-    return pa.table({"src_url": pa.array(src, pa.string()),
-                     "dst_url": pa.array(dst, pa.string())},
-                    schema=LINKS_SCHEMA)
-
-
 def convert_fused_batch(batch: pa.Table, fmt: str = "markdown",
                         chunk_size: int = 1000, chunk_overlap: int = 200,
                         url_col: str = "url",
@@ -168,10 +171,7 @@ def convert_fused_batch(batch: pa.Table, fmt: str = "markdown",
     htmls = batch.column(html_col).to_pylist()
     payloads, titles, n_links, n_images, n_chunks = [], [], [], [], []
     for url, html in zip(urls, htmls):
-        try:
-            doc = parse_html_to_document(html or "", url)
-        except Exception:
-            doc = dict(EMPTY_DOC, base_url=url)
+        doc = convert_row(url, 200, html)[0]
         md = document_to_markdown(doc)
         payloads.append(md if fmt == "markdown" else render_document(doc, fmt))
         titles.append(doc["title"])

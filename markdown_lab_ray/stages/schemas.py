@@ -86,11 +86,6 @@ CHAR_CHUNKS_SCHEMA = pa.schema([
     ("semantic_density", pa.float32()),
 ])
 
-LINKS_SCHEMA = pa.schema([
-    ("src_url", pa.string()),
-    ("dst_url", pa.string()),
-])
-
 IMAGES_SCHEMA = pa.schema([
     ("image_id", pa.string()),
     ("bytes", pa.binary()),

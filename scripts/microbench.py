@@ -1,7 +1,8 @@
 """Per-op microbenchmarks on small/medium/large fixtures — the
 criterion-harness analogue (reference ``benches/markdown_bench.rs:9-88``:
 extract/clean/links/convert on 3 sizes, chunking over a size/overlap
-grid).  Single-process, no Ray: measures kernel latency.
+grid), plus the crawl's one-parse ``convert_page``.  Single-process, no
+Ray: measures kernel latency.
 
 Usage: python scripts/microbench.py [--json]
 """
@@ -18,6 +19,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from markdown_lab_ray.kernels.chunker import chunk_markdown, create_semantic_chunks
 from markdown_lab_ray.kernels.html_kernels import (
     clean_html,
+    convert_page,
     extract_links,
     extract_main_content,
     parse_html_to_document,
@@ -59,6 +61,8 @@ def main() -> None:
             lambda h=html: extract_main_content(h), 20)
         results[f"extract_links/{name}_ms"] = timeit(
             lambda h=html: extract_links(h, url), 20)
+        results[f"convert_page/{name}_ms"] = timeit(
+            lambda h=html: convert_page(h, url), 20)
         results[f"convert/{name}_ms"] = timeit(
             lambda h=html: render_document(
                 parse_html_to_document(h, url), "markdown"), 20)

@@ -401,3 +401,31 @@ def test_crawl_chunks_only_ok_pages(ray_session, tmp_path, fetch_mode):
     chunk_urls = set(read("chunks", ["source_url"])
                      .column("source_url").to_pylist())
     assert chunk_urls == ok
+
+
+def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
+    """A checkpointed frontier reads back with exactly FRONTIER_COLS: the
+    ``round=N`` directory above it is not a hive partition column.  The
+    first round's manifest records the seen shards' start-up wait."""
+    import json
+
+    from markdown_lab_ray.pipelines.crawl import (FRONTIER_COLS,
+                                                  _read_frontier,
+                                                  run_crawl_ray)
+
+    spec = SiteSpec(n_hosts=2, pages_per_host=8)
+    cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
+                       max_rounds=2, max_depth=1, seen_shards=2,
+                       fetch_concurrency=2)
+    out = str(tmp_path / "crawl")
+    run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
+    timings = []
+    for round_no in (0, 1):
+        rdir = f"{out}/rounds/round={round_no}"
+        frontier = _read_frontier(f"{rdir}/frontier_next")
+        assert frontier.count() > 0
+        assert frontier.schema().names == FRONTIER_COLS
+        with open(f"{rdir}/_MANIFEST.json") as f:
+            timings.append(json.load(f)["timings"])
+    assert timings[0]["actors_start"] >= 0
+    assert "actors_start" not in timings[1]

@@ -21,6 +21,28 @@ def test_extract_main_content():
     assert "Footer content" not in content
 
 
+def test_unwanted_predicate_matches_selector():
+    """``_is_unwanted`` is UNWANTED_SELECTOR as set membership: every
+    element of the selector's list, and near misses, agree with the
+    selector engine."""
+    from markdown_lab_ray.kernels.dom import _matches, parse_html, parse_selector
+    from markdown_lab_ray.kernels.html_kernels import (UNWANTED_SELECTOR,
+                                                       _is_unwanted)
+
+    parts = [p.strip() for p in UNWANTED_SELECTOR.split(",")]
+    html = "".join(
+        f'<div class="x {p[1:]}"></div>' if p[0] == "."
+        else f'<p id="{p[1:]}"></p>' if p[0] == "#"
+        else f"<{p}></{p}>" for p in parts)
+    html += ('<div class="adx"></div><p id="cookie"></p><section></section>'
+             '<span class="Ad"></span><div class="x"></div>')
+    compounds = parse_selector(UNWANTED_SELECTOR)
+    elements = list(parse_html(html).iter_elements())
+    assert sum(map(_is_unwanted, elements)) == len(parts)
+    for el in elements:
+        assert _is_unwanted(el) == any(_matches(el, c) for c in compounds)
+
+
 def test_clean_html():
     # ref src/tests.rs:17-25
     html = ("<div><script>alert('test');</script><p>Keep this content</p>"

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from markdown_lab_ray.kernels.chunker import chunk_markdown_char, create_semantic_chunks
 from markdown_lab_ray.kernels.dom import parse_html
-from markdown_lab_ray.kernels.html_kernels import parse_html_to_document
+from markdown_lab_ray.kernels.html_kernels import (
+    convert_page,
+    extract_links,
+    parse_html_to_document,
+)
 from markdown_lab_ray.kernels.urls import normalize_url, url_seen_key
 from markdown_lab_ray.state.seen import CuckooFilter, LocalSeen
 
@@ -30,6 +34,38 @@ def test_parse_document_total(text):
     assert set(doc) == {"title", "base_url", "headings", "paragraphs",
                         "links", "images", "lists", "code_blocks",
                         "blockquotes"}
+
+
+_WRAPPERS = [("<nav>", "</nav>"), ("<header>", "</header>"),
+             ("<footer>", "</footer>"), ("<script>", "</script>"),
+             ('<div class="ad">', "</div>"), ("<p>", "</p>")]
+_HREFS = ["", "#x", "javascript:x", "/rel", "http://abs.test/x",
+          "mailto:a@b", " sp ace", "HTTP://UP.test:80"]
+
+_anchor = st.builds(lambda href, text: f'<a href="{href}">{text}</a>',
+                    st.sampled_from(_HREFS),
+                    st.sampled_from(["", "t", "two words"]))
+_fragment = st.recursive(
+    _anchor | st.sampled_from(["text ", "<a>bare</a>"]),
+    lambda inner: st.builds(lambda wrap, parts: wrap[0] + "".join(parts)
+                            + wrap[1],
+                            st.sampled_from(_WRAPPERS),
+                            st.lists(inner, max_size=3)),
+    max_leaves=12)
+_page = st.lists(_fragment, max_size=5).map(
+    lambda parts: "<html><head><title>T</title></head><body>"
+    + "".join(parts) + "</body></html>")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_page, st.sampled_from(["https://fuzz.example.com/a/b",
+                               "http://h.test"]))
+def test_convert_page_matches_document_and_links(html, url):
+    """The one-walk kernel gives exactly the Document and the
+    select-based ``extract_links`` of the page, anchors inside stripped
+    (nav/header/footer/script/ad) subtrees included."""
+    assert convert_page(html, url) == (parse_html_to_document(html, url),
+                                       extract_links(html, url))
 
 
 @settings(max_examples=60, deadline=None)

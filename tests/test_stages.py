@@ -5,7 +5,6 @@ from markdown_lab_ray.stages.convert import (
     char_chunk_explode_batch,
     chunk_explode_batch,
     convert_fused_batch,
-    extract_links_batch,
     parse_batch,
     render_batch,
 )
@@ -67,13 +66,6 @@ def test_char_chunk_explode():
     assert chunks.column("heading").to_pylist()[0] == "H"
     densities = chunks.column("semantic_density").to_pylist()
     assert all(d >= 0 for d in densities)
-
-
-def test_extract_links_batch():
-    out = extract_links_batch(_pages_table(1))
-    dsts = out.column("dst_url").to_pylist()
-    assert dsts == sorted(set(dsts))
-    assert all(d.startswith("http") for d in dsts)
 
 
 def test_convert_fused():

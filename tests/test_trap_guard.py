@@ -115,39 +115,43 @@ def test_trap_guard_parity_and_cut(ray_session, tmp_path):
     assert sum("/cal/" in loc for loc in order_off["loc"]) == 12
 
 
-def test_convert_memo_skips_reparse(monkeypatch):
-    """A recrawled unchanged page (same body + url) must not re-parse:
-    the per-worker memo serves (title, payload, links, images)."""
+def test_crawl_convert_parses_each_page_once(monkeypatch):
+    """One parse per 200 page gives both its Document and its links;
+    failed and redirected pages are not parsed at all.  The same body
+    on two URLs is parsed twice: links resolve against each page's own
+    base URL."""
     import pyarrow as pa
 
-    import markdown_lab_ray.pipelines.crawl as crawl
+    import markdown_lab_ray.kernels.html_kernels as html_kernels
+    from markdown_lab_ray.pipelines.crawl import crawl_convert_batch
 
     calls = {"n": 0}
-    real = crawl.parse_html_to_document
+    real = html_kernels.parse_html
 
-    def counting(html, loc):
+    def counting(html):
         calls["n"] += 1
-        return real(html, loc)
+        return real(html)
 
-    monkeypatch.setattr(crawl, "parse_html_to_document", counting)
-    monkeypatch.setattr(crawl, "_CONVERT_MEMO", None)  # fresh cache
+    monkeypatch.setattr(html_kernels, "parse_html", counting)
+    body = ("<html><head><title>T</title></head><body><main>"
+            '<p>hello</p><a href="/y">y</a></main></body></html>')
     batch = pa.table({
-        "loc": ["http://a.test/x", "http://b.test/x"],
-        "host": ["a.test", "b.test"],
-        "depth": [0, 0],
-        "status": pa.array([200, 200], pa.int32()),
-        "html": ["<html><head><title>T</title></head><body><main>"
-                 '<p>hello</p><a href="/y">y</a></main></body></html>'] * 2,
+        "loc": ["http://a.test/x", "http://b.test/x", "http://a.test/gone",
+                "http://a.test/old"],
+        "host": ["a.test", "b.test", "a.test", "a.test"],
+        "depth": [0, 0, 0, 0],
+        "status": pa.array([200, 200, 404, 301], pa.int32()),
+        "html": [body, body, "not found", "/new"],
     })
-    out1 = crawl.crawl_convert_batch(batch)
-    assert calls["n"] == 2          # same body, DIFFERENT urls: no share
-    out2 = crawl.crawl_convert_batch(batch)
-    assert calls["n"] == 2          # full memo hit on the recrawl
-    assert out1.equals(out2)
-    # links resolved against each page's own base url
-    links = out1.column("links").to_pylist()
+    out = crawl_convert_batch(batch)
+    assert calls["n"] == 2
+    links = out.column("links").to_pylist()
     assert links[0] == ["http://a.test/y"]
     assert links[1] == ["http://b.test/y"]
+    assert links[2] == []
+    assert links[3] == ["http://a.test/new"]
+    assert out.column("title").to_pylist() == ["T", "T", "No Title",
+                                               "No Title"]
 
 
 def test_robots_wildcards_and_allow_precedence():
