@@ -2080,8 +2080,7 @@ def q_crawl_order(sf_dir: str):
 
     spec = SiteSpec(n_hosts=6, pages_per_host=12, n_images=40)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
-                       max_rounds=3, max_depth=2, seen_shards=4,
-                       fetch_concurrency=2)
+                       max_rounds=3, max_depth=2, seen_shards=4)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         order = read_crawl_order(tmp)
@@ -2102,7 +2101,7 @@ def q_crawl_authority_order(sf_dir: str):
     spec = SiteSpec(n_hosts=6, pages_per_host=12, n_images=40)
     cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
                        max_rounds=3, max_depth=2, seen_shards=4,
-                       fetch_concurrency=2, authority_boost=2)
+                       authority_boost=2)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         order = read_crawl_order(tmp)
@@ -2121,8 +2120,7 @@ def q_crawl_health(sf_dir: str):
 
     spec = SiteSpec(n_hosts=6, pages_per_host=12, n_images=40)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
-                       max_rounds=3, max_depth=2, seen_shards=4,
-                       fetch_concurrency=2)
+                       max_rounds=3, max_depth=2, seen_shards=4)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         return crawl_health(tmp)
@@ -2168,8 +2166,7 @@ def q_crawl_image_validation(sf_dir: str):
 
     spec = SiteSpec(n_hosts=4, pages_per_host=10, n_images=80)
     cfg = EngineConfig(requests_per_second=1.0, round_seconds=60.0,
-                       max_rounds=1, max_depth=0, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=1, max_depth=0, seen_shards=2)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         validated = validate_crawled_images(
@@ -2196,8 +2193,7 @@ def q_crawl_image_validation_bucketed(sf_dir: str):
 
     spec = SiteSpec(n_hosts=4, pages_per_host=10, n_images=80)
     cfg = EngineConfig(requests_per_second=1.0, round_seconds=60.0,
-                       max_rounds=1, max_depth=0, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=1, max_depth=0, seen_shards=2)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         validated = validate_crawled_images(
@@ -3221,8 +3217,7 @@ def q_crawl_host_rank(sf_dir: str):
 
     spec = SiteSpec(n_hosts=8, pages_per_host=12, n_images=40)
     cfg = EngineConfig(requests_per_second=1.0, round_seconds=60.0,
-                       max_rounds=2, max_depth=1, seen_shards=4,
-                       fetch_concurrency=2)
+                       max_rounds=2, max_depth=1, seen_shards=4)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         edges = read_host_edges(tmp)
@@ -8437,8 +8432,7 @@ def q_crawl_boilerplate(sf_dir: str):
 
     spec = SiteSpec(n_hosts=4, pages_per_host=10, n_images=30)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
-                       max_rounds=3, max_depth=2, seen_shards=4,
-                       fetch_concurrency=2)
+                       max_rounds=3, max_depth=2, seen_shards=4)
     with tempfile.TemporaryDirectory() as tmp:
         import glob as _glob
         import os as _os

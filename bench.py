@@ -81,8 +81,7 @@ def _run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     # 6. crawl: pages fetched + converted + chunked over the synthetic web
     spec = SiteSpec(n_hosts=32, pages_per_host=100, n_images=500)
     cfg = EngineConfig(requests_per_second=2.0, round_seconds=60.0,  # 120/host/round
-                       max_rounds=2, max_depth=1, seen_shards=8,
-                       fetch_concurrency=max(2, num_cpus // 2))
+                       max_rounds=2, max_depth=1, seen_shards=8)
     import shutil
     import tempfile
     tmp = tempfile.mkdtemp(prefix="bench_crawl_")
@@ -146,9 +145,7 @@ def _run_scaling_workload(num_cpus: int) -> dict:
     spec = SiteSpec(**_SCALING_SPEC)
     cfg = EngineConfig(requests_per_second=80.0, round_seconds=60.0,
                        max_rounds=1, max_depth=0,
-                       seen_shards=max(8, num_cpus // 2),
-                       fetch_mode="tasks",  # pure-function resolver
-                       fetch_concurrency=max(2, num_cpus - 2))
+                       seen_shards=max(8, num_cpus // 2))
     # warm the worker pool so both runs measure compute + shuffle, not
     # process spawn (mirrors "warm one untimed read first")
     import ray.data as rd

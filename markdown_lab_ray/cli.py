@@ -125,7 +125,7 @@ def cmd_crawl(args) -> int:
 
     if args.resolver == "http":
         # real-network fetch tier (sources/http.py): one session per
-        # fetch actor, reference retry taxonomy.  Requires --seeds.
+        # worker process, reference retry taxonomy.  Requires --seeds.
         from .sources.http import HttpResolver
         if cfg.robots_cache == "worker":
             # real network → robots.txt fetched once cluster-wide via

@@ -2,9 +2,9 @@
 
 Mirrors the knob surface of the reference config
 (``/root/reference/markdown_lab/core/config.py:22-69``) plus the
-Ray-specific per-stage knobs the rebuild needs (batch sizes, actor-pool
-concurrency, shard counts).  Env-var overrides use the same
-``MARKDOWN_LAB_*`` prefix as the reference (``config.py:119-151``).
+Ray-specific per-stage knobs the rebuild needs (batch sizes, shard
+counts).  Env-var overrides use the same ``MARKDOWN_LAB_*`` prefix as
+the reference (``config.py:119-151``).
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ class EngineConfig:
     fetch_batch_size: int = 64         # smaller batches → deeper fetch pipeline
     chunk_batch_size: int = 256
     image_batch_size: int = 64         # binary payload rows stay small
-    fetch_concurrency: int = 8         # fetch actor pool size
-    fetch_mode: str = "actors"         # "actors" (stateful tier) | "tasks"
-    parse_concurrency: int = 0         # 0 => stateless tasks, let Ray scale
+    fetch_mode: str = "tasks"          # the one fetch tier: tasks, one
+                                       # fetcher per worker process
     seen_shards: int = 16              # URL-seen filter shard actors
-    payload_cache_ttl: float = 0.0     # >0 → per-fetch-actor TTL/LRU cache
+    payload_cache_ttl: float = 0.0     # >0 → per-worker-process TTL/LRU cache
     pacing_rps: float = 0.0            # >0 → realtime per-host pacing in
-                                       # fetch actors (sleeps!); the round
-                                       # budget still bounds volume
+                                       # the fetcher (sleeps!); buckets are
+                                       # per worker process, so divide by
+                                       # the worker count for a global
+                                       # rate; the round budget still
+                                       # bounds volume
     seen_capacity_per_shard: int = 1 << 20
     robots_cache: str = "worker"       # "worker" (per-process cache) |
                                        # "actor" (sharded robots actors:
@@ -96,8 +98,11 @@ class EngineConfig:
         if self.default_output_format not in ("markdown", "json", "xml"):
             raise ValueError("default_output_format must be 'markdown', "
                              "'json', or 'xml'")
-        if self.fetch_mode not in ("actors", "tasks"):
-            raise ValueError("fetch_mode must be 'actors' or 'tasks'")
+        if self.fetch_mode != "tasks":
+            raise ValueError(
+                "fetch_mode must be 'tasks': the 'actors' fetch tier was "
+                "removed; every fetch runs as a task through a "
+                "per-worker-process fetcher")
         if self.robots_cache not in ("worker", "actor"):
             raise ValueError("robots_cache must be 'worker' or 'actor'")
         if self.breaker_threshold < 0:

@@ -85,27 +85,25 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
                         chunk_sink=None, chunk_size: int = 1000,
                         chunk_overlap: int = 200) -> pa.Table:
     """Fetch each URL directly (NO sitemap discovery — the reference
-    `batch` verb fetches the listed links as-is, scraper.py:444-598),
-    convert (``convert_row``), render to ``fmt``.  Worker-process-cached
-    resolver; failures become status rows with the empty Document (S3
-    tolerance)."""
+    `batch` verb fetches the listed links as-is, scraper.py:444-598)
+    with the crawl's per-process ``fetcher``, convert (``convert_row``),
+    render to ``fmt``.  Failures become status rows with the empty
+    Document (S3 tolerance)."""
     from ..kernels.render import render_document
     from ..stages.convert import convert_row
-    from .crawl import _WEB_CACHE, _worker_cached
+    from .crawl import fetcher
 
-    web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
-    urls = batch.column("loc").to_pylist()
-    statuses, titles, payloads = [], [], []
-    for loc in urls:
-        status, body = web.resolve(loc)
-        doc, _ = convert_row(loc, status,
-                             body if isinstance(body, str) else "")
-        statuses.append(status)
+    fetched = fetcher(web_factory)(batch)
+    titles, payloads = [], []
+    for loc, status, html in zip(fetched.column("loc").to_pylist(),
+                                 fetched.column("status").to_pylist(),
+                                 fetched.column("html").to_pylist()):
+        doc, _ = convert_row(loc, status, html)
         titles.append(doc["title"])
         payloads.append(render_document(doc, fmt))
     out = pa.table({
-        "url": pa.array(urls, pa.string()),
-        "status": pa.array(statuses, pa.int32()),
+        "url": fetched.column("loc"),
+        "status": fetched.column("status"),
         "title": pa.array(titles, pa.string()),
         "payload": pa.array(payloads, pa.string()),
     })

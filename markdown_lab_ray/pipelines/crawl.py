@@ -86,23 +86,30 @@ def discover_batch(batch: pa.Table, web_factory, robots_factory,
 
 _ROBOTS_CACHE: dict[str, object] = {}
 _WEB_CACHE: dict[str, object] = {}
+_FETCH_CACHE: dict[str, object] = {}
 
 
 class FetchStage:
-    """Actor-pool fetch: scheduled rows → +status, html.  For the
-    synthetic web this is a pure lookup; a real deployment gives each
-    actor a connection pool + retry/backoff (reference T2/T9) and the
-    same signature.
+    """The crawl's one fetcher: scheduled rows → +status, html.  For the
+    synthetic web a fetch is a pure lookup; a real deployment passes a
+    resolver that owns a session + retry/backoff (``sources/http.py``,
+    reference T2/T9) behind the same ``resolve`` signature.
 
-    ``cache_ttl > 0`` wraps the resolver in the per-actor TTL/LRU
+    A worker process holds one fetcher per fetch setting
+    (``fetcher``) inside stateless ``map_batches`` tasks, and the
+    resolver is that process's ``_WEB_CACHE`` entry, shared with
+    discovery and the robots rules: one resolver (one HTTP session) per
+    web per process.
+
+    ``cache_ttl > 0`` wraps the resolver in the per-process TTL/LRU
     payload cache (reference request-cache memory level, state/cache.py).
     ``pacing_rps > 0`` additionally enforces REALTIME per-host pacing
     via token buckets (reference T1 upgraded global→per-host) — the BSP
     round budget bounds volume per round; the pacer spaces requests
     within the round.  Clock/sleeper are injectable so tests don't
-    sleep.  NOTE: per-host buckets are per-actor; co-locate a host's
-    rows in one batch (the schedule stage's host grouping does) or
-    divide rps by the pool size for a global guarantee.
+    sleep.  NOTE: per-host buckets are per worker process; for a global
+    per-host guarantee divide ``pacing_rps`` by the number of worker
+    processes that fetch.
     """
 
     def __init__(self, web_factory, cache_ttl: float = 0.0,
@@ -110,7 +117,7 @@ class FetchStage:
                  robots_factory=None):
         import time as _t
 
-        web = web_factory()
+        web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
         if cache_ttl > 0:
             from ..state.cache import CachedResolver
             self.web = CachedResolver(
@@ -125,7 +132,7 @@ class FetchStage:
         self.sleeper = sleeper or _t.sleep
         # robots_factory (optional): a host's robots Crawl-delay caps
         # the realtime pacer below the configured rate, mirroring the
-        # budget cap the scheduler applies (state cached per actor)
+        # budget cap the scheduler applies (rules cached per process)
         self.robots_factory = robots_factory
         self._buckets: dict[str, object] = {}
 
@@ -185,6 +192,21 @@ class FetchStage:
         ).append_column("html", pa.array(htmls, pa.string()))
 
 
+def fetcher(web_factory, cache_ttl: float = 0.0, pacing_rps: float = 0.0,
+            robots_factory=None) -> FetchStage:
+    """This worker process's ``FetchStage`` for these fetch settings,
+    built on first use and kept across tasks, so the payload cache and
+    the pacing buckets outlive a batch."""
+    import functools
+
+    return _worker_cached(
+        _FETCH_CACHE,
+        functools.partial(FetchStage, web_factory, cache_ttl=cache_ttl,
+                          pacing_rps=pacing_rps,
+                          robots_factory=robots_factory),
+        lambda f: f())
+
+
 def _head(web, loc: str):
     """HEAD against a resolver: use its native ``head`` when present
     (real clients / SyntheticWeb), else fall back to resolve-and-drop
@@ -241,59 +263,22 @@ def _write_chunk_sidecar(docs_tbl: pa.Table, chunk_sink: str,
                    compression="zstd")
 
 
-def fetch_convert_batch(batch: pa.Table, web_factory, chunk_sink=None,
+def fetch_convert_batch(batch: pa.Table, web_factory,
+                        cache_ttl: float = 0.0, pacing_rps: float = 0.0,
+                        robots_factory=None, chunk_sink=None,
                         chunk_size: int = 1000,
                         chunk_overlap: int = 200) -> pa.Table:
-    """Task-pool variant of FetchConvertStage for resolvers that are
-    pure functions (the synthetic web): runs on the warm worker pool
-    with a worker-process-global resolver, no actor spawn cost.
-    Choose via ``EngineConfig.fetch_mode = "tasks"``; the actor pool
-    (``"actors"``) remains the right tier for real HTTP fetching where
-    each worker owns sessions/connection pools."""
-    web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
-    statuses, htmls = [], []
-    for loc in batch.column("loc").to_pylist():
-        status, body = web.resolve(loc)
-        statuses.append(status)
-        htmls.append(body if isinstance(body, str) else "")
-    fetched = batch.append_column(
-        "status", pa.array(statuses, pa.int32())
-    ).append_column("html", pa.array(htmls, pa.string()))
+    """The crawl's fetch + convert stage, a stateless task: this worker
+    process's ``fetcher`` fetches the batch, ``crawl_convert_batch``
+    converts each page once, and the chunk sidecar is written from here.
+    Fetched HTML never leaves the worker process; only the much smaller
+    docs rows reach the object store."""
+    fetched = fetcher(web_factory, cache_ttl, pacing_rps,
+                      robots_factory)(batch)
     docs_tbl = crawl_convert_batch(fetched)
     if chunk_sink:
         _write_chunk_sidecar(docs_tbl, chunk_sink, chunk_size, chunk_overlap)
     return docs_tbl
-
-
-class FetchConvertStage(FetchStage):
-    """Fused fetch + convert + render actor stage — the crawl's hot
-    path.  Each fetched page is converted once by ``crawl_convert_batch``
-    (one parse and one walk per page, the empty Document for any page
-    that failed), then rendered to Markdown.
-
-    Fetched HTML never leaves the actor process (only the much smaller
-    docs rows hit the object store), and one pool owns the round's CPU
-    budget instead of a fetch pool starving a separate convert task
-    stage.  ``FetchStage`` + ``crawl_convert_batch`` remain available as
-    separate stages when the fetch tier must be sized independently
-    (e.g. network-bound real fetches vs CPU-bound parsing)."""
-
-    def __init__(self, web_factory, cache_ttl: float = 0.0,
-                 pacing_rps: float = 0.0, clock=None, sleeper=None,
-                 chunk_sink=None, chunk_size: int = 1000,
-                 chunk_overlap: int = 200, robots_factory=None):
-        super().__init__(web_factory, cache_ttl, pacing_rps, clock,
-                         sleeper, robots_factory=robots_factory)
-        self.chunk_sink = chunk_sink
-        self.chunk_size = chunk_size
-        self.chunk_overlap = chunk_overlap
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        docs_tbl = crawl_convert_batch(super().__call__(batch))
-        if self.chunk_sink:
-            _write_chunk_sidecar(docs_tbl, self.chunk_sink,
-                                 self.chunk_size, self.chunk_overlap)
-        return docs_tbl
 
 
 def crawl_convert_batch(batch: pa.Table) -> pa.Table:
@@ -407,7 +392,8 @@ class _LocalRobotsFactory:
         self.web_factory = web_factory
 
     def __call__(self):
-        return LocalRobotsCache(self.web_factory().resolve)
+        web = _worker_cached(_WEB_CACHE, self.web_factory, lambda f: f())
+        return LocalRobotsCache(web.resolve)
 
 
 class _ActorRobotsFactory:
@@ -737,10 +723,8 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     import ray
     import ray.data as rd
 
-    # clamp actor pools to the cluster so a fixed-size pool can't wait
-    # forever for CPUs that don't exist (single-node test sessions)
+    # block counts follow the cluster's CPUs
     total_cpus = int(ray.cluster_resources().get("CPU", 4))
-    fetch_conc = max(1, min(cfg.fetch_concurrency, total_cpus - 2))
     budget = round_budget(cfg.requests_per_second, cfg.round_seconds)
     result = CrawlResult(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -954,31 +938,20 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                   .map_batches(SeenProbe(shards, mode="mark",
                                          round_no=round_no),
                                batch_format="pyarrow"))
+        # stateless tasks on the warm worker pool; each worker process
+        # keeps one fetcher (payload cache, pacing buckets, resolver)
+        # across the round's batches
         chunk_sink = os.path.join(rdir, "chunks")
-        if cfg.fetch_mode == "tasks":
-            # pure-function resolver → stateless tasks on the warm pool
-            docs = marked.map_batches(
-                fetch_convert_batch, batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-                fn_kwargs=dict(web_factory=web_factory,
-                               chunk_sink=chunk_sink,
-                               chunk_size=cfg.chunk_size,
-                               chunk_overlap=cfg.chunk_overlap))
-        else:
-            # stateful fetch tier: fixed-size actor pool, spawned up
-            # front in parallel (autoscaling ramp costs more than it
-            # saves); clamped to the cluster above so it can't deadlock
-            docs = marked.map_batches(
-                FetchConvertStage, batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-                concurrency=fetch_conc,
-                fn_constructor_kwargs=dict(web_factory=web_factory,
-                                           cache_ttl=cfg.payload_cache_ttl,
-                                           pacing_rps=cfg.pacing_rps,
-                                           chunk_sink=chunk_sink,
-                                           chunk_size=cfg.chunk_size,
-                                           chunk_overlap=cfg.chunk_overlap,
-                                           robots_factory=robots_factory))
+        docs = marked.map_batches(
+            fetch_convert_batch, batch_format="pyarrow",
+            batch_size=cfg.fetch_batch_size,
+            fn_kwargs=dict(web_factory=web_factory,
+                           cache_ttl=cfg.payload_cache_ttl,
+                           pacing_rps=cfg.pacing_rps,
+                           robots_factory=robots_factory,
+                           chunk_sink=chunk_sink,
+                           chunk_size=cfg.chunk_size,
+                           chunk_overlap=cfg.chunk_overlap))
         # stream straight to the parquet checkpoint (no materialize —
         # a round's docs shouldn't double-buffer through the object
         # store); chunks/links/metrics re-read column-pruned slices

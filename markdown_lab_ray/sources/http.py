@@ -10,10 +10,11 @@ crawl is ``run_crawl_ray(lambda: HttpResolver(...), seeds, ...)`` with
 zero engine changes.
 
 Division of labour (SURVEY §2.3): the SESSION + retry/backoff live
-here, once per fetch actor (``FetchStage.__init__`` constructs the
-resolver via the factory); per-host politeness pacing and the payload
-cache stay in the engine (``state/politeness.py``, ``state/cache.py``)
-— this class never sleeps for rate limiting, only for backoff.
+here, once per worker process (the crawl's fetch tasks share that
+process's resolver, built once from the factory); per-host politeness
+pacing and the payload cache stay in the engine (``state/politeness.py``,
+``state/cache.py``) — this class never sleeps for rate limiting, only
+for backoff.
 
 Terminal failures become STATUS ROWS, never exceptions (S3 per-URL
 error tolerance, reference ``get_many`` client.py:116-133): a
@@ -48,9 +49,9 @@ class _StatusOnly:
 
 
 class HttpResolver:
-    """One per fetch actor (session state in ``__init__``, reference
-    T2).  ``sleeper`` is injectable so tests never sleep through the
-    backoff."""
+    """One per worker process (session state in ``__init__``,
+    reference T2).  ``sleeper`` is injectable so tests never sleep
+    through the backoff."""
 
     def __init__(self, timeout: float = 30.0, max_retries: int = 3,
                  backoff_base: float = 2.0,

@@ -4,7 +4,7 @@ The "web" is a pure function of (spec, url): robots.txt bodies, sitemap
 XML (urlset / two-level sitemapindex / robots-declared / well-known
 probed), page HTML exercising every element class the parser handles,
 and image bytes via the fake codec.  Because content is derived, not
-stored, a fetch actor can serve any URL of a 10^10-URL frontier in O(1)
+stored, a fetch task can serve any URL of a 10^10-URL frontier in O(1)
 with zero storage — the scale path the crawl engine is designed for.
 
 Host layout (spec.n_hosts hosts, ``h{i:03d}.example.com``):
@@ -311,8 +311,8 @@ class SyntheticWeb:
     """Pure-function web: ``resolve(url) -> (status, body)``.
 
     Body is ``str`` for text resources, ``bytes`` for images.  Unknown
-    URLs → (404, "").  Cheap to hold per fetch actor (it stores only the
-    spec; content is derived on demand).
+    URLs → (404, "").  Cheap to hold per worker process (it stores only
+    the spec; content is derived on demand).
     """
 
     def __init__(self, spec: SiteSpec, version: int = 0):
@@ -416,7 +416,7 @@ class SyntheticWeb:
 class ScriptedWeb:
     """Minimal dict-backed resolver for tests and examples:
     ``pages`` maps full URL → (status, body); everything else is 404.
-    Picklable plain state, so fetch actors can hold one."""
+    Picklable plain state, so fetch tasks can ship one."""
 
     def __init__(self, pages: dict):
         self.pages = dict(pages)

@@ -3,7 +3,7 @@
 
 Two concerns, split per SURVEY §2.1 S11:
 - **URL-seen / dedup** lives in ``state/seen.py`` (cuckoo shards).
-- **Payload cache** = (a) a per-fetch-actor in-memory LRU with byte cap
+- **Payload cache** = (a) a per-worker-process in-memory LRU with byte cap
   and TTL (``CachedResolver`` below — the "memory level"), and (b) the
   per-round ``docs`` parquet checkpoints (the "disk level": a re-run's
   resume path skips completed rounds entirely, which is the reference's

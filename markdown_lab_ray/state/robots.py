@@ -134,7 +134,7 @@ class LocalRobotsCache:
 
 
 def create_robots_cache(resolve_fn):
-    """Robots cache as a Ray actor (shared across fetch actors)."""
+    """Robots cache as a Ray actor (shared across worker processes)."""
     import ray
 
     @ray.remote(num_cpus=0)  # bookkeeping actor: never reserve a CPU

@@ -54,6 +54,19 @@ def test_config_update_immutable_and_validated():
         cfg.update(not_a_field=1)
 
 
+def test_config_fetch_tier_has_one_mode():
+    """``fetch_mode`` has one legal value; the removed actor tier and its
+    knobs are rejected, not silently ignored."""
+    from markdown_lab_ray.config import EngineConfig
+
+    assert EngineConfig().fetch_mode == "tasks"
+    assert EngineConfig.from_dict({"fetch_mode": "tasks"}).fetch_mode == "tasks"
+    with pytest.raises(ValueError, match="removed"):
+        EngineConfig.from_dict({"fetch_mode": "actors"})
+    with pytest.raises(TypeError):  # removed knob: an unknown key
+        EngineConfig.from_dict({"parse_concurrency": 0})
+
+
 def test_config_file_env_flag_layering(tmp_path, monkeypatch):
     """CLI precedence contract: file < env < flags."""
     from markdown_lab_ray.config import EngineConfig

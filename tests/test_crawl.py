@@ -341,8 +341,7 @@ def test_crawl_kills_its_state_actors(ray_session, tmp_path):
     spec = SiteSpec(n_hosts=2, pages_per_host=4, n_images=8)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
                        max_rounds=2, max_depth=1, seen_shards=2,
-                       fetch_concurrency=2, robots_cache="actor",
-                       robots_shards=2)
+                       robots_cache="actor", robots_shards=2)
 
     def broken_web():
         raise RuntimeError("web down")
@@ -368,8 +367,7 @@ def test_crawl_kills_its_state_actors(ray_session, tmp_path):
             gc.enable()
 
 
-@pytest.mark.parametrize("fetch_mode", ["actors", "tasks"])
-def test_crawl_chunks_only_ok_pages(ray_session, tmp_path, fetch_mode):
+def test_crawl_chunks_only_ok_pages(ray_session, tmp_path):
     """Failed (5xx) and redirected (3xx) pages have no content: the
     chunk sidecar holds the 200 pages' chunks and nothing else."""
     import glob
@@ -382,8 +380,7 @@ def test_crawl_chunks_only_ok_pages(ray_session, tmp_path, fetch_mode):
     spec = SiteSpec(n_hosts=3, pages_per_host=8, n_images=10,
                     error_host_every=2, redirect_every=3)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
-                       max_rounds=2, max_depth=1, seen_shards=2,
-                       fetch_concurrency=2, fetch_mode=fetch_mode)
+                       max_rounds=2, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
 
@@ -415,8 +412,7 @@ def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
 
     spec = SiteSpec(n_hosts=2, pages_per_host=8)
     cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
-                       max_rounds=2, max_depth=1, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=2, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
     timings = []
@@ -429,3 +425,104 @@ def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
             timings.append(json.load(f)["timings"])
     assert timings[0]["actors_start"] >= 0
     assert "actors_start" not in timings[1]
+
+
+def test_fetch_settings_reach_the_crawl_fetch(monkeypatch):
+    """``fetch_convert_batch`` fetches through one per-process
+    ``FetchStage`` built from its settings: with a payload cache, two
+    batches of the same URLs resolve each URL once, both through the
+    same fetcher."""
+    import functools
+
+    import pyarrow as pa
+
+    from markdown_lab_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl, "_WEB_CACHE", {})
+    monkeypatch.setattr(crawl, "_FETCH_CACHE", {})
+    resolved: list[str] = []
+    fetchers: list = []
+    resolve, call = SyntheticWeb.resolve, crawl.FetchStage.__call__
+
+    def counting_resolve(self, url):
+        resolved.append(url)
+        return resolve(self, url)
+
+    def recording_call(self, batch):
+        fetchers.append(self)
+        return call(self, batch)
+
+    monkeypatch.setattr(SyntheticWeb, "resolve", counting_resolve)
+    monkeypatch.setattr(crawl.FetchStage, "__call__", recording_call)
+
+    spec = SiteSpec(n_hosts=2, pages_per_host=4)
+    urls = [spec.page_url(i, j) for i in range(2) for j in range(2)]
+    batch = pa.table({"loc": urls,
+                      "host": [spec.host(i) for i in range(2)
+                               for _ in range(2)],
+                      "depth": [0] * len(urls)})
+    for _ in range(2):
+        docs = crawl.fetch_convert_batch(
+            batch, functools.partial(SyntheticWeb, spec), cache_ttl=3600.0)
+        assert docs.column("status").to_pylist() == [200] * len(urls)
+    assert sorted(resolved) == sorted(urls)
+    assert len(fetchers) == 2 and fetchers[0] is fetchers[1]
+    assert fetchers[0].web.hits == len(urls)
+
+
+_ONE_CPU_CRAWL = """
+import json
+import sys
+
+import ray
+
+from markdown_lab_ray.config import EngineConfig
+from markdown_lab_ray.pipelines.crawl import run_crawl_ray
+from markdown_lab_ray.sources.synth import SiteSpec, SyntheticWeb
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+spec = SiteSpec(n_hosts=3, pages_per_host=8, n_images=10,
+                error_host_every=2, redirect_every=3)
+result = run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(),
+                       sys.argv[1], EngineConfig(seen_shards=2))
+print(json.dumps({"rounds": result.rounds}))
+ray.shutdown()
+"""
+
+
+def test_default_crawl_finishes_on_one_cpu(tmp_path):
+    """A default-config crawl on a 1-logical-CPU Ray session of its own
+    ends and writes every round's manifest (the fetch needs no CPU held
+    by a long-lived pool)."""
+    import glob
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "crawl")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CRAWL, out], cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        stdout = None
+    finally:
+        # the session's Ray processes share the child's process group
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert stdout is not None, "crawl did not finish within 180 s"
+    assert proc.returncode == 0, stderr[-2000:]
+    rounds = json.loads(stdout.strip().splitlines()[-1])["rounds"]
+    round_dirs = glob.glob(f"{out}/rounds/round=*")
+    assert rounds >= 2 and len(round_dirs) == rounds
+    for rdir in round_dirs:
+        assert os.path.exists(f"{rdir}/_MANIFEST.json"), rdir

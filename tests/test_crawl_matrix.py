@@ -36,7 +36,7 @@ CASES = [
 def test_parity(ray_session, tmp_path, name, cfg_kwargs, filters):
     from markdown_lab_ray.pipelines.crawl import read_crawl_order, run_crawl_ray
 
-    cfg = EngineConfig(seen_shards=2, fetch_concurrency=2, **cfg_kwargs)
+    cfg = EngineConfig(seen_shards=2, **cfg_kwargs)
     oracle = run_crawl_oracle(SyntheticWeb(SPEC).resolve, SPEC.seed_urls(),
                               cfg, **filters)
     out = str(tmp_path / name)

@@ -159,8 +159,7 @@ def test_crawl_host_rank_matches_local_and_deterministic(ray_session):
 
     spec = SiteSpec(n_hosts=8, pages_per_host=12, n_images=40)
     cfg = EngineConfig(requests_per_second=1.0, round_seconds=60.0,
-                       max_rounds=2, max_depth=1, seen_shards=4,
-                       fetch_concurrency=2)
+                       max_rounds=2, max_depth=1, seen_shards=4)
     with tempfile.TemporaryDirectory() as tmp:
         run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), tmp, cfg)
         edges = [(r["src"], r["dst"])

@@ -145,8 +145,7 @@ def test_ray_crawl_over_localhost_matches_oracle(http_site, ray_session,
     from markdown_lab_ray.pipelines.crawl import read_crawl_order, run_crawl_ray
 
     cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
-                       max_rounds=3, max_depth=2, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=3, max_depth=2, seen_shards=2)
     # max_retries=0: the https→http robots fallback's first probe fails
     # at connection level; retrying it would only add backoff sleeps
     oracle = run_crawl_oracle(HttpResolver(max_retries=0).resolve,

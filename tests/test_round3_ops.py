@@ -202,8 +202,7 @@ def test_status_timings_on_resumed_crawl(ray_session, tmp_path, capsys):
 
     spec = SiteSpec(n_hosts=3, pages_per_host=8)
     cfg = EngineConfig(requests_per_second=0.2, round_seconds=60.0,
-                       max_rounds=1, max_depth=1, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=1, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
     # resume for one more round (exercises the streaming _RestorePush)

@@ -83,7 +83,7 @@ def test_trap_guard_parity_and_cut(ray_session, tmp_path):
 
     seeds = ["http://trap.test/"]
     cfg = EngineConfig(max_rounds=3, max_depth=2, seen_shards=2,
-                       fetch_concurrency=2, requests_per_second=100.0,
+                       requests_per_second=100.0,
                        round_seconds=1.0, trap_links_per_template=2)
     from markdown_lab_ray.sources.synth import ScriptedWeb
 
@@ -105,7 +105,7 @@ def test_trap_guard_parity_and_cut(ray_session, tmp_path):
 
     # guard off: all 12 calendar pages crawl (and parity still holds)
     cfg_off = EngineConfig(max_rounds=3, max_depth=2, seen_shards=2,
-                           fetch_concurrency=2, requests_per_second=100.0,
+                           requests_per_second=100.0,
                            round_seconds=1.0)
     oracle_off = run_crawl_oracle(ScriptedWeb(pages).resolve, seeds, cfg_off)
     out_off = str(tmp_path / "crawl_off")
@@ -188,8 +188,7 @@ def test_freshness_priority_parity_and_reorder(ray_session, tmp_path):
     spec = SiteSpec(seed=5, n_hosts=3, pages_per_host=12)
     # small budget so ordering (not just membership) is visible
     cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
-                       max_rounds=2, max_depth=1, seen_shards=2,
-                       fetch_concurrency=2)
+                       max_rounds=2, max_depth=1, seen_shards=2)
     base = run_crawl_oracle(SyntheticWeb(spec).resolve, spec.seed_urls(),
                             cfg)
     fresh = run_crawl_oracle(SyntheticWeb(spec).resolve, spec.seed_urls(),

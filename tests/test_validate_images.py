@@ -11,7 +11,7 @@ from markdown_lab_ray.sources.synth import (
 
 SPEC = SiteSpec(n_hosts=4, pages_per_host=8, n_images=60)
 CFG = EngineConfig(requests_per_second=1.0, round_seconds=60.0, max_rounds=1,
-                   max_depth=0, seen_shards=2, fetch_concurrency=2)
+                   max_depth=0, seen_shards=2)
 
 
 def test_crawled_images_validate(ray_session, tmp_path):
