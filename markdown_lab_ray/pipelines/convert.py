@@ -82,16 +82,25 @@ def chunk_documents(sf_dir: str, cfg: EngineConfig | None = None):
 
 
 def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
-                        chunk_sink=None, chunk_size: int = 1000,
+                        out_dir: str, save_chunks: bool = False,
+                        chunk_size: int = 1000,
                         chunk_overlap: int = 200) -> pa.Table:
     """Fetch each URL directly (NO sitemap discovery — the reference
     `batch` verb fetches the listed links as-is, scraper.py:444-598)
     with the crawl's per-process ``fetcher``, convert (``convert_row``),
     render to ``fmt``.  Failures become status rows with the empty
-    Document (S3 tolerance)."""
+    Document (S3 tolerance).  The task writes what it makes into
+    ``out_dir``: the docs part, the chunks part when asked (both named
+    by the batch's ``seq`` keys) and the 200 pages' rendered files; it
+    returns its ``{ok, n}`` tally."""
+    import os
+
+    import pyarrow.compute as pc
+
     from ..kernels.render import render_document
+    from ..sources.io import write_rendered_batch
     from ..stages.convert import convert_row
-    from .crawl import fetcher
+    from .crawl import _chunk_rows, _tally, _write_part, fetcher
 
     fetched = fetcher(web_factory)(batch)
     titles, payloads = [], []
@@ -101,16 +110,20 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
         doc, _ = convert_row(loc, status, html)
         titles.append(doc["title"])
         payloads.append(render_document(doc, fmt))
-    out = pa.table({
+    docs = pa.table({
         "url": fetched.column("loc"),
         "status": fetched.column("status"),
         "title": pa.array(titles, pa.string()),
         "payload": pa.array(payloads, pa.string()),
     })
-    if chunk_sink:
-        from .crawl import _write_chunk_sidecar
-        _write_chunk_sidecar(out, chunk_sink, chunk_size, chunk_overlap)
-    return out
+    keys = batch.column("seq")
+    _write_part(docs, os.path.join(out_dir, "docs"), keys)
+    if save_chunks:
+        _write_part(_chunk_rows(docs, chunk_size, chunk_overlap),
+                    os.path.join(out_dir, "chunks"), keys)
+    write_rendered_batch(docs.filter(pc.equal(docs.column("status"), 200)),
+                         os.path.join(out_dir, "rendered"), fmt)
+    return _tally(docs)
 
 
 def run_batch_convert(web_factory, urls: list[str], out_dir: str,
@@ -119,28 +132,22 @@ def run_batch_convert(web_factory, urls: list[str], out_dir: str,
     """The reference `mlab batch links.txt` surface on the Ray engine:
     fetch every listed URL (depth 0, no discovery), convert to ``fmt``,
     write per-URL rendered files (reference filename scheme) plus a
-    lossless parquet checkpoint (and a chunks sidecar when asked).
+    lossless parquet checkpoint (and a chunks sidecar when asked), all
+    from the convert tasks in one Ray Data execution.
     Returns (n_ok, n_failed)."""
     import os
 
     import ray.data as rd
 
-    from ..sources.io import write_rendered_files
-
     cfg = cfg or EngineConfig()
     rows = [{"loc": u, "seq": i} for i, u in enumerate(urls)]
     n_blocks = max(1, min(len(rows), 64))
-    ds = rd.from_items(rows, override_num_blocks=n_blocks)
-    chunk_sink = os.path.join(out_dir, "chunks") if save_chunks else None
-    docs = ds.map_batches(
+    os.makedirs(os.path.join(out_dir, "rendered"), exist_ok=True)
+    tallies = rd.from_items(rows, override_num_blocks=n_blocks).map_batches(
         _fetch_render_batch, batch_format="pyarrow",
         batch_size=cfg.fetch_batch_size,
-        fn_kwargs=dict(web_factory=web_factory, fmt=fmt,
-                       chunk_sink=chunk_sink, chunk_size=cfg.chunk_size,
-                       chunk_overlap=cfg.chunk_overlap)).materialize()
-    os.makedirs(out_dir, exist_ok=True)
-    docs.write_parquet(os.path.join(out_dir, "docs"), compression="zstd")
-    write_rendered_files(docs.filter(expr="status == 200"),
-                         os.path.join(out_dir, "rendered"), fmt)
-    n_ok = docs.filter(expr="status == 200").count()
+        fn_kwargs=dict(web_factory=web_factory, fmt=fmt, out_dir=out_dir,
+                       save_chunks=save_chunks, chunk_size=cfg.chunk_size,
+                       chunk_overlap=cfg.chunk_overlap)).take_all()
+    n_ok = sum(int(t["ok"]) for t in tallies)
     return n_ok, len(urls) - n_ok

@@ -1,16 +1,24 @@
 """Distributed crawl engine: BSP rounds over Ray Data (SURVEY.md §3.4).
 
-Each round schedules along one path: a ``SeenProbe(filter_unseen)``
-map stage drops already-crawled URLs, then ONE ``groupby(host)`` whose
-per-group function (``make_host_processor``) fuses intra-round dedup,
-robots checks and the politeness schedule, then the schedule is
-materialized.  Everything else is ``map_batches`` streaming.  Every
-round checkpoints to parquet under
-``out_dir/rounds/round=N/`` (schedule, docs, chunks, frontier_next)
-plus a ``_MANIFEST.json``, so a killed run resumes from the last
-complete round with per-partition lineage (north_rule: resumable with
-metrics); partial checkpoints of an interrupted round are discarded on
-re-entry.
+A round is two Ray Data executions, and every output is written by the
+task that makes it (``_write_part``):
+
+- the schedule execution reads the previous round's ``frontier_next``
+  lazily, drops already-crawled URLs (a ``SeenProbe(filter_unseen)``
+  map stage), then runs ONE ``groupby(host)`` whose per-group function
+  (``make_host_processor``) fuses intra-round dedup, robots checks and
+  the politeness schedule.  Its last stage (``write_schedule_batch``)
+  writes ``schedule/`` and the deferred rows into ``frontier_next/``,
+  and only the scheduled rows are materialized;
+- the fetch execution marks the scheduled rows seen and runs
+  ``fetch_convert_batch`` tasks that write ``docs/``, ``chunks/`` and
+  their pages' links into ``frontier_next/``, returning one ``{ok, n}``
+  tally row each.
+
+The round's ``_MANIFEST.json`` is written after both executions, so a
+killed run resumes from the last complete round with per-partition
+lineage (north_rule: resumable with metrics); partial checkpoints of an
+interrupted round are discarded on re-entry.
 
 Scale notes (10^10-URL frontier):
 - frontier rows are metadata-sized; page payloads never cross a round
@@ -23,16 +31,16 @@ Scale notes (10^10-URL frontier):
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
-import logging
 import os
+import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
-
-logger = logging.getLogger("markdown_lab_ray.crawl")
-
-_WARNED_SERIAL_CKPT = False
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..config import EngineConfig
 from ..kernels.render import document_to_markdown
@@ -55,8 +63,6 @@ def _worker_cached(cache: dict, factory, build):
     """Get-or-create a per-worker-process cached object keyed by the
     factory's pickled content (same factory content → same cache entry
     across tasks; shared by the discover/robots/fetch task stages)."""
-    import hashlib
-
     from ray import cloudpickle
 
     key = hashlib.md5(cloudpickle.dumps(factory)).hexdigest()
@@ -115,8 +121,6 @@ class FetchStage:
     def __init__(self, web_factory, cache_ttl: float = 0.0,
                  pacing_rps: float = 0.0, clock=None, sleeper=None,
                  robots_factory=None):
-        import time as _t
-
         web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
         if cache_ttl > 0:
             from ..state.cache import CachedResolver
@@ -128,8 +132,8 @@ class FetchStage:
         else:
             self.web = web
         self.pacing_rps = pacing_rps
-        self.clock = clock or _t.monotonic
-        self.sleeper = sleeper or _t.sleep
+        self.clock = clock or time.monotonic
+        self.sleeper = sleeper or time.sleep
         # robots_factory (optional): a host's robots Crawl-delay caps
         # the realtime pacer below the configured rate, mirroring the
         # budget cap the scheduler applies (rules cached per process)
@@ -238,47 +242,69 @@ def fetch_head_batch(batch: pa.Table, web_factory) -> pa.Table:
     ).append_column("content_length", pa.array(lengths, pa.int64()))
 
 
-def _write_chunk_sidecar(docs_tbl: pa.Table, chunk_sink: str,
-                         chunk_size: int, chunk_overlap: int) -> None:
-    """Write this batch's chunk rows straight from the convert task —
-    IO fusion that removes the separate read-docs → explode → write
-    pass (the chunks are derived data; a failed round's partial sidecar
-    files are discarded with the round on resume).  Only 200 pages are
-    chunked: a failed or redirected page has no content to chunk."""
-    import hashlib
-
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    docs_tbl = docs_tbl.filter(pc.equal(docs_tbl.column("status"), 200))
-    chunk_tbl = chunk_explode_batch(docs_tbl, chunk_size=chunk_size,
-                                    chunk_overlap=chunk_overlap,
-                                    url_col="url", text_col="payload")
-    if chunk_tbl.num_rows == 0:
+def _write_part(tbl: pa.Table, out_dir: str, keys) -> None:
+    """The engine's one writer: the task that makes ``tbl`` writes it as
+    one zstd parquet part of ``out_dir``, named by the md5 of its
+    batch's whole key column ``keys`` (``seen_key`` in the crawl,
+    ``seq`` in the batch verb).  A retried task overwrites its own file,
+    and two different batches never share a name.  An empty table
+    writes no file.  A failed round's partial parts are discarded with
+    the round on resume."""
+    if tbl.num_rows == 0:
         return
     stem = hashlib.md5(
-        chunk_tbl.column("chunk_id")[0].as_py().encode()).hexdigest()[:16]
-    os.makedirs(chunk_sink, exist_ok=True)
-    pq.write_table(chunk_tbl, os.path.join(chunk_sink, f"part-{stem}.parquet"),
+        "\n".join(map(str, keys.to_pylist())).encode()).hexdigest()
+    os.makedirs(out_dir, exist_ok=True)
+    pq.write_table(tbl, os.path.join(out_dir, f"part-{stem}.parquet"),
                    compression="zstd")
 
 
-def fetch_convert_batch(batch: pa.Table, web_factory,
+def _chunk_rows(docs_tbl: pa.Table, chunk_size: int,
+                chunk_overlap: int) -> pa.Table:
+    """A batch's chunk rows.  Only 200 pages are chunked: a failed or
+    redirected page has no content to chunk."""
+    docs_tbl = docs_tbl.filter(pc.equal(docs_tbl.column("status"), 200))
+    return chunk_explode_batch(docs_tbl, chunk_size=chunk_size,
+                               chunk_overlap=chunk_overlap,
+                               url_col="url", text_col="payload")
+
+
+def _tally(docs_tbl: pa.Table) -> pa.Table:
+    """A fetch task's one-row result: ``ok`` 200 pages of ``n``."""
+    ok = pc.sum(pc.equal(docs_tbl.column("status"), 200)).as_py() or 0
+    return pa.table({"ok": pa.array([ok], pa.int64()),
+                     "n": pa.array([docs_tbl.num_rows], pa.int64())})
+
+
+def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
                         cache_ttl: float = 0.0, pacing_rps: float = 0.0,
-                        robots_factory=None, chunk_sink=None,
-                        chunk_size: int = 1000,
-                        chunk_overlap: int = 200) -> pa.Table:
+                        robots_factory=None, chunk_size: int = 1000,
+                        chunk_overlap: int = 200, max_depth: int = 0,
+                        trap_cap: int = 0) -> pa.Table:
     """The crawl's fetch + convert stage, a stateless task: this worker
-    process's ``fetcher`` fetches the batch, ``crawl_convert_batch``
-    converts each page once, and the chunk sidecar is written from here.
-    Fetched HTML never leaves the worker process; only the much smaller
-    docs rows reach the object store."""
+    process's ``fetcher`` fetches the batch of scheduled rows,
+    ``crawl_convert_batch`` converts each page once, and the task writes
+    what it makes into the round directory ``rdir``: the docs part, the
+    chunks of its 200 pages and, below ``max_depth``, the next-frontier
+    rows of its 2xx/3xx pages (``links_explode_batch``; a 3xx row's
+    links column holds its redirect target) into ``frontier_next/``.
+    Fetched HTML and docs never leave the worker process; the task
+    returns its ``_tally``."""
     fetched = fetcher(web_factory, cache_ttl, pacing_rps,
                       robots_factory)(batch)
     docs_tbl = crawl_convert_batch(fetched)
-    if chunk_sink:
-        _write_chunk_sidecar(docs_tbl, chunk_sink, chunk_size, chunk_overlap)
-    return docs_tbl
+    keys = batch.column("seen_key")
+    _write_part(docs_tbl, os.path.join(rdir, "docs"), keys)
+    _write_part(_chunk_rows(docs_tbl, chunk_size, chunk_overlap),
+                os.path.join(rdir, "chunks"), keys)
+    if max_depth > 0:
+        status = docs_tbl.column("status")
+        link_src = docs_tbl.filter(pc.and_(
+            pc.and_(pc.greater_equal(status, 200), pc.less(status, 400)),
+            pc.less(docs_tbl.column("depth"), max_depth)))
+        _write_part(links_explode_batch(link_src, trap_cap=trap_cap),
+                    os.path.join(rdir, "frontier_next"), keys)
+    return _tally(docs_tbl)
 
 
 def crawl_convert_batch(batch: pa.Table) -> pa.Table:
@@ -424,12 +450,10 @@ def links_explode_batch(batch: pa.Table, trap_cap: int = 0) -> pa.Table:
     array with ONE urlparse per link; equality with the row-loop spec
     path ``links_to_frontier_rows`` + ``dedup_candidates`` is pinned by
     ``tests/test_crawl.py::test_links_explode_vectorized_parity``."""
-    import hashlib
     import zlib
 
     import numpy as np
     import pandas as pd
-    import pyarrow.compute as pc
 
     from ..kernels.urls import normalize_and_host, path_template
     from .crawl_spec import LINK_SEQ_BASE
@@ -507,12 +531,18 @@ _SCHEDULE_PA_SCHEMA = pa.schema(
     + [pa.field("scheduled", pa.bool_()), pa.field("fetch_order", pa.int64())])
 
 
-def conform_frontier_batch(batch: pa.Table) -> pa.Table:
-    return _conform(batch, _FRONTIER_PA_SCHEMA)
-
-
-def conform_schedule_batch(batch: pa.Table) -> pa.Table:
-    return _conform(batch, _SCHEDULE_PA_SCHEMA)
+def write_schedule_batch(batch: pa.Table, rdir: str) -> pa.Table:
+    """The last stage of a round's schedule execution, one call per
+    block of host groups (``batch_size=None``): writes the block's
+    schedule part and its deferred rows into ``frontier_next/`` of the
+    round directory ``rdir``, and passes on only the scheduled rows."""
+    batch = _conform(batch, _SCHEDULE_PA_SCHEMA)
+    keys = batch.column("seen_key")
+    _write_part(batch, os.path.join(rdir, "schedule"), keys)
+    scheduled = batch.column("scheduled")
+    _write_part(batch.filter(pc.invert(scheduled)).select(FRONTIER_COLS),
+                os.path.join(rdir, "frontier_next"), keys)
+    return batch.filter(scheduled)
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +564,20 @@ def _round_dir(out_dir: str, round_no: int) -> str:
 
 
 def _read_frontier(path: str):
-    """read_parquet that tolerates an empty checkpoint directory.  No
-    hive partitioning: the ``round=N`` directory above the checkpoint
+    """Lazy read_parquet that tolerates an empty checkpoint directory.
+    No hive partitioning: the ``round=N`` directory above the checkpoint
     must not come back as an extra ``round`` column."""
-    import glob
-
     import ray.data as rd
 
     if not glob.glob(os.path.join(path, "*.parquet")):
         return rd.from_arrow(frontier_rows_to_table([]))
     return rd.read_parquet(path, partitioning=None)
+
+
+def _parquet_rows(path: str) -> int:
+    """Rows in a checkpoint directory, from its parts' parquet footers."""
+    return sum(pq.read_metadata(f).num_rows
+               for f in glob.glob(os.path.join(path, "*.parquet")))
 
 
 def _update_breaker(breaker: dict, docs_dir: str, round_no: int,
@@ -622,8 +656,6 @@ def _update_authority_edges(host_edges: set, docs_dir: str, cfg) -> set:
         # pinned in tests/test_crawl_authority.py), so no Python parse
         # touches the per-link fold at all.  The distinct-pairs set is
         # O(host pairs) per block, same as extract_host_edges.
-        import pyarrow.compute as pc
-
         b = b.filter(pc.equal(b.column("status"), 200))
         links = b.column("links")
         flat = pc.list_flatten(links)
@@ -715,11 +747,19 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
             ray.kill(actor)
 
 
+def _since(t0: float) -> float:
+    """Seconds since the ``time.perf_counter()`` reading ``t0``, to the
+    millisecond."""
+    return round(time.perf_counter() - t0, 3)
+
+
 def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                   cfg: EngineConfig, shards, robots_factory, filters: dict,
                   resume: bool) -> CrawlResult:
     """Discovery (or resume) and the BSP rounds of ``run_crawl_ray``,
     over state actors the caller owns."""
+    import shutil
+
     import ray
     import ray.data as rd
 
@@ -729,10 +769,7 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     result = CrawlResult(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    start_round = 0
-    frontier = None
-    if resume:
-        start_round, frontier = _restore(out_dir, shards, result)
+    start_round = _restore(out_dir, shards, result) if resume else 0
 
     # circuit-breaker state: host → [streak, open_until].  Bounded by
     # the number of CURRENTLY-failing hosts (all-ok hosts are pruned
@@ -740,7 +777,7 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     # the open set into the schedule group fns — is O(failing hosts),
     # not O(hosts).  Checkpointed per round for resume.
     breaker: dict[str, list] = {}
-    if resume and start_round > 0 and cfg.breaker_threshold > 0:
+    if start_round > 0 and cfg.breaker_threshold > 0:
         bpath = os.path.join(_round_dir(out_dir, start_round - 1),
                              "breaker.json")
         if os.path.exists(bpath):
@@ -751,17 +788,20 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     # lives on the driver (O(host pairs), checkpointed per round) and
     # only the boosted-host multiplier dict ships into the schedulers
     host_edges: set = set()
-    if resume and start_round > 0 and cfg.authority_boost > 1:
+    if start_round > 0 and cfg.authority_boost > 1:
         apath = os.path.join(_round_dir(out_dir, start_round - 1),
                              "authority.json")
         if os.path.exists(apath):
             with open(apath) as f:
                 host_edges = {tuple(e) for e in json.load(f)}
 
-    import time as _time
-
-    t_disc = _time.time()
-    if frontier is None:
+    t0 = time.perf_counter()
+    if start_round > 0:
+        next_dir = os.path.join(_round_dir(out_dir, start_round - 1),
+                                "frontier_next")
+        frontier = _read_frontier(next_dir)
+        n_frontier = _parquet_rows(next_dir)
+    else:
         # one block per seed up to a cap: per-seed tasks maximize
         # discovery parallelism for normal seed lists, while a 10^6-seed
         # frontier doesn't explode into 10^6 scheduler-bound tiny blocks
@@ -775,38 +815,39 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             fn_kwargs=dict(web_factory=web_factory,
                            robots_factory=robots_factory, **filters)
         ).materialize()  # frontier rows are metadata-sized
-    result.t_discovery = round(_time.time() - t_disc, 2)
+        n_frontier = frontier.count()
+    result.t_discovery = _since(t0)
 
     # wait for the seen shards' process start-up once, here, so it
     # overlaps discovery instead of landing in the first round's
     # schedule phase; recorded in that round's manifest
-    t0 = _time.time()
+    t0 = time.perf_counter()
     ray.get([s.size.remote() for s in shards])
-    actors_start = round(_time.time() - t0, 2)
+    actors_start = _since(t0)
 
     for round_no in range(start_round, cfg.max_rounds):
-        rdir = _round_dir(out_dir, round_no)
-        if frontier.count() == 0:
+        if n_frontier == 0:
             break
+        rdir = _round_dir(out_dir, round_no)
         if (os.path.exists(rdir)
                 and not os.path.exists(os.path.join(rdir, "_MANIFEST.json"))):
             # a kill mid-round left partial checkpoints; re-running the
-            # round must start clean (write_parquet appends part files)
-            import shutil
+            # round must start clean
             shutil.rmtree(rdir)
         os.makedirs(rdir, exist_ok=True)
+        next_dir = os.path.join(rdir, "frontier_next")
         timings: dict[str, float] = (
             {"actors_start": actors_start} if round_no == start_round
             else {})
-        t0 = _time.time()
 
-        # a–d: seen-filter, then dedup + robots + schedule around ONE
-        # groupby(host).  The URL-seen probe runs as a map_batches stage
-        # BEFORE the groupby: reads are idempotent, so filtering
-        # pre-dedup is equivalent, and the shard RPC count is ∝ blocks ×
-        # shards instead of host groups × shards (a 10^5-host round
-        # would otherwise make 10^5 synchronous probe fan-outs from
-        # inside the group fns)
+        # the schedule execution: seen-filter, then dedup + robots +
+        # schedule around ONE groupby(host), then the writing stage.
+        # The URL-seen probe runs as a map_batches stage BEFORE the
+        # groupby: reads are idempotent, so filtering pre-dedup is
+        # equivalent, and the shard RPC count is ∝ blocks × shards
+        # instead of host groups × shards (a 10^5-host round would
+        # otherwise make 10^5 synchronous probe fan-outs from inside the
+        # group fns)
         open_hosts = frozenset(
             h for h, (streak, ou) in breaker.items() if ou > round_no)
         host_boosts: dict = {}
@@ -816,198 +857,62 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             host_boosts = authority_multipliers(
                 local_pagerank_hosts(host_edges, cfg.authority_iters),
                 cfg.authority_boost)
-        schedule = frontier.map_batches(
+        t0 = time.perf_counter()
+        scheduled = frontier.map_batches(
             SeenProbe(shards, mode="filter_unseen"), batch_format="pyarrow"
         ).groupby("host").map_groups(
             make_host_processor(robots_factory, budget, cfg.round_seconds,
                                 open_hosts=open_hosts,
                                 host_boosts=host_boosts),
             batch_format="pandas"
-        ).map_batches(conform_schedule_batch, batch_format="pyarrow"
+        ).map_batches(write_schedule_batch, batch_format="pyarrow",
+                      batch_size=None, fn_kwargs=dict(rdir=rdir)
                       ).materialize()
-        timings["schedule"] = round(_time.time() - t0, 2)
-
-        # checkpoint writes run CONCURRENTLY with the fetch/convert
-        # phase (VERDICT r01 #3: the schedule is already materialized,
-        # so its parquet write — and the deferred rows' persistence into
-        # frontier_next — need not serialize with the round's hot
-        # phase).  The round manifest is only written after ALL threads
-        # join, so resume semantics are unchanged: a crash mid-round
-        # leaves no _MANIFEST.json and the partial round is discarded.
-        import threading
-
-        try:
-            # Ray-internal module (2.49): lets the sink be constructed
-            # on the main thread, with only the execution in a thread.
-            # Guarded: if a Ray upgrade moves it, degrade to serialized
-            # main-thread writes (correct, just loses the overlap).
-            from ray.data._internal.datasource.parquet_datasink import (
-                ParquetDatasink,
-            )
-        except ImportError:
-            ParquetDatasink = None
-            global _WARNED_SERIAL_CKPT
-            if not _WARNED_SERIAL_CKPT:
-                _WARNED_SERIAL_CKPT = True
-                # loud once: without this, a Ray upgrade that moves the
-                # module would silently drop the checkpoint-IO overlap
-                # (correctness unchanged, but checkpoint_wait regresses)
-                logger.warning(
-                    "ray.data._internal...parquet_datasink not importable "
-                    "— checkpoint writes fall back to serialized "
-                    "main-thread write_parquet (no fetch overlap)")
-
-        ckpt_errors: list[BaseException] = []
-        ckpt_threads: list[threading.Thread] = []
-
-        def _bg(fn):
-            def run():
-                try:
-                    fn()
-                except BaseException as exc:  # re-raised at join
-                    ckpt_errors.append(exc)
-            t = threading.Thread(target=run, daemon=True)
-            t.start()
-            ckpt_threads.append(t)
-
-        def _bg_write(ds_, path):
-            # construct the sink NOW, on the main thread: datasink
-            # construction resolves paths/filesystems, and Ray's
-            # resolution path attempts an fsspec-http import that is not
-            # safe under concurrent first-import (aiohttp is absent in
-            # this container, so the failing import re-executes every
-            # time and a concurrent from-import can observe the
-            # partially-initialized module).  Serial construction +
-            # concurrent execution avoids the race entirely.
-            if ParquetDatasink is None:
-                ds_.write_parquet(path)  # fallback: serial, no overlap
-                return
-            sink = ParquetDatasink(path)
-            _bg(lambda: ds_.write_datasink(sink))
-
-        def _join_ckpt():
-            for t in ckpt_threads:
-                t.join()
-            if ckpt_errors:
-                raise ckpt_errors[0]
-
-        scheduled = schedule.filter(expr="scheduled == True")
-        deferred = schedule.filter(expr="scheduled == False")
         n_scheduled = scheduled.count()
-        n_deferred = schedule.count() - n_scheduled
-        next_dir = os.path.join(rdir, "frontier_next")
+        n_deferred = _parquet_rows(next_dir)  # only deferred rows so far
+        timings["schedule"] = _since(t0)
 
-        _bg_write(schedule, os.path.join(rdir, "schedule"))
-
-        if n_scheduled == 0:
-            breaker_waiting = bool(open_hosts) and n_deferred > 0
-            if breaker_waiting:
-                # every pending row belongs to a breaker-open host:
-                # persist the deferred frontier and sit the round out
-                # (the oracle keeps advancing rounds the same way)
-                _bg_write(deferred.map_batches(conform_frontier_batch,
-                                               batch_format="pyarrow"),
-                          next_dir)
-            _join_ckpt()
+        # the fetch execution: mark seen + fetch + convert + write.  A
+        # round with nothing scheduled has rows left only when every
+        # pending host is breaker-open (every other host group schedules
+        # at least one row): it sits out, and its deferred rows carry
+        # over (the oracle keeps advancing rounds the same way)
+        ok = total = 0
+        if n_scheduled:
+            # repartition first: schedule blocks mirror host groups,
+            # which can leave the fetch chain with too few blocks to
+            # parallelize
+            n_blocks = max(1, min(n_scheduled // cfg.fetch_batch_size + 1,
+                                  total_cpus * 4))
+            t0 = time.perf_counter()
+            tallies = (scheduled.repartition(n_blocks)
+                       .map_batches(SeenProbe(shards, mode="mark",
+                                              round_no=round_no),
+                                    batch_format="pyarrow")
+                       .map_batches(
+                           fetch_convert_batch, batch_format="pyarrow",
+                           batch_size=cfg.fetch_batch_size,
+                           fn_kwargs=dict(
+                               web_factory=web_factory, rdir=rdir,
+                               cache_ttl=cfg.payload_cache_ttl,
+                               pacing_rps=cfg.pacing_rps,
+                               robots_factory=robots_factory,
+                               chunk_size=cfg.chunk_size,
+                               chunk_overlap=cfg.chunk_overlap,
+                               max_depth=cfg.max_depth,
+                               trap_cap=cfg.trap_links_per_template))
+                       .take_all())
+            timings["fetch_convert"] = _since(t0)
+            ok = sum(int(t["ok"]) for t in tallies)
+            total = sum(int(t["n"]) for t in tallies)
+            docs_dir = os.path.join(rdir, "docs")
             if cfg.breaker_threshold > 0:
-                _write_breaker_state(rdir, breaker, round_no)
+                _update_breaker(breaker, docs_dir, round_no, cfg)
             if cfg.authority_boost > 1:
-                _write_authority_state(rdir, host_edges)
-            entry = {"round": round_no, "scheduled": 0, "fetched": 0,
-                     "failed": 0, "deferred": n_deferred}
-            result.manifest.append(entry)
-            result.rounds = round_no + 1
-            with open(os.path.join(rdir, "_MANIFEST.json"), "w") as f:
-                json.dump(entry, f)
-            if not breaker_waiting:
-                break
-            frontier = _read_frontier(next_dir).materialize()
-            continue
+                host_edges = _update_authority_edges(host_edges, docs_dir,
+                                                     cfg)
 
-        # deferred rows land in frontier_next immediately (the links
-        # part appends to the same directory after docs complete)
-        _bg_write(deferred.map_batches(conform_frontier_batch,
-                                       batch_format="pyarrow"), next_dir)
-
-        # e. mark seen + fetch + convert; docs checkpoint is the fork point
-        # repartition first: schedule blocks mirror host groups, which can
-        # leave the fetch/parse chain with too few blocks to parallelize
-        n_blocks = max(1, min(n_scheduled // cfg.fetch_batch_size + 1,
-                              total_cpus * 4))
-        marked = (scheduled.repartition(n_blocks)
-                  .map_batches(SeenProbe(shards, mode="mark",
-                                         round_no=round_no),
-                               batch_format="pyarrow"))
-        # stateless tasks on the warm worker pool; each worker process
-        # keeps one fetcher (payload cache, pacing buckets, resolver)
-        # across the round's batches
-        chunk_sink = os.path.join(rdir, "chunks")
-        docs = marked.map_batches(
-            fetch_convert_batch, batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-            fn_kwargs=dict(web_factory=web_factory,
-                           cache_ttl=cfg.payload_cache_ttl,
-                           pacing_rps=cfg.pacing_rps,
-                           robots_factory=robots_factory,
-                           chunk_sink=chunk_sink,
-                           chunk_size=cfg.chunk_size,
-                           chunk_overlap=cfg.chunk_overlap))
-        # stream straight to the parquet checkpoint (no materialize —
-        # a round's docs shouldn't double-buffer through the object
-        # store); chunks/links/metrics re-read column-pruned slices
-        t0 = _time.time()
-        docs_dir = os.path.join(rdir, "docs")
-        # zstd: markdown/html text compresses 3-4x — trades scalable CPU
-        # for the flat checkpoint-IO cost that dominates at high core
-        # counts
-        docs.write_parquet(docs_dir, compression="zstd")
-        timings["fetch_convert"] = round(_time.time() - t0, 2)
-
-        # chunks were written as a sidecar inside the convert tasks
-        # (IO fusion — no docs re-read); the directory exists iff any
-        # batch produced chunk rows
-        timings["chunks"] = 0.0
-
-        t0 = _time.time()
-        if cfg.max_depth > 0:
-            # links part APPENDS to frontier_next (the deferred part was
-            # written concurrently with the fetch above; write_parquet
-            # part-file names are unique per call)
-            # 200s carry page links; 3xx rows carry their redirect
-            # target in the same column — both feed the next frontier
-            link_src = rd.read_parquet(
-                docs_dir, columns=["depth", "links", "status"]).filter(
-                expr=f"status >= 200 and status < 400 "
-                     f"and depth < {cfg.max_depth}")
-            (link_src.map_batches(
-                links_explode_batch, batch_format="pyarrow",
-                fn_kwargs=dict(trap_cap=cfg.trap_links_per_template))
-             .map_batches(conform_frontier_batch, batch_format="pyarrow")
-             .write_parquet(next_dir))
-        timings["links_frontier"] = round(_time.time() - t0, 2)
-
-        # metrics + manifest — one pass over the pruned status column
-        def _status_partial(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            return pa.table({
-                "ok": [pc.sum(pc.equal(b["status"], 200)).as_py() or 0],
-                "n": [b.num_rows],
-            })
-
-        status_df = (rd.read_parquet(docs_dir, columns=["status"])
-                     .map_batches(_status_partial, batch_format="pyarrow")
-                     .to_pandas())
-        ok = int(status_df["ok"].sum())
-        total = int(status_df["n"].sum())
-
-        if cfg.breaker_threshold > 0:
-            _update_breaker(breaker, docs_dir, round_no, cfg)
-        if cfg.authority_boost > 1:
-            host_edges = _update_authority_edges(host_edges, docs_dir, cfg)
-
-        t0 = _time.time()
-        _join_ckpt()  # all checkpoint writes durable before the manifest
-        timings["checkpoint_wait"] = round(_time.time() - t0, 2)
+        # every part is closed: the manifest makes the round complete
         if cfg.breaker_threshold > 0:
             _write_breaker_state(rdir, breaker, round_no)
         if cfg.authority_boost > 1:
@@ -1025,7 +930,8 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
         with open(os.path.join(rdir, "_MANIFEST.json"), "w") as f:
             json.dump(entry, f)
 
-        frontier = _read_frontier(next_dir).materialize()
+        frontier = _read_frontier(next_dir)
+        n_frontier = _parquet_rows(next_dir)
 
     with open(os.path.join(out_dir, "_CRAWL.json"), "w") as f:
         json.dump({"rounds": result.rounds, "fetched": result.fetched,
@@ -1058,18 +964,17 @@ class _RestorePush:
         return pa.table({"n": pa.array([len(keys)], pa.int64())})
 
 
-def _restore(out_dir: str, shards, result: CrawlResult):
+def _restore(out_dir: str, shards, result: CrawlResult) -> int:
     """Resume support: restore seen-set from completed rounds' schedule
-    checkpoints and return (next_round, frontier Dataset).  The key
-    push is a streaming ``map_batches`` pass over ALL completed rounds'
-    schedule files at once — keys travel storage → map task → shard
-    actor without a driver materialization."""
-    import glob
+    checkpoints and return the next round number.  The key push is a
+    streaming ``map_batches`` pass over ALL completed rounds' schedule
+    files at once — keys travel storage → map task → shard actor without
+    a driver materialization."""
+    import shutil
 
     import ray.data as rd
 
     round_no = 0
-    frontier = None
     schedule_files: list[str] = []
     while True:
         rdir = _round_dir(out_dir, round_no)
@@ -1085,7 +990,6 @@ def _restore(out_dir: str, shards, result: CrawlResult):
         # empty-schedule rounds write zero files
         schedule_files.extend(glob.glob(
             os.path.join(rdir, "schedule", "*.parquet")))
-        frontier = _read_frontier(os.path.join(rdir, "frontier_next"))
         round_no += 1
 
     if schedule_files:
@@ -1098,22 +1002,17 @@ def _restore(out_dir: str, shards, result: CrawlResult):
     # drop any manifest-less (partial) round dirs beyond the last
     # complete round so they can't pollute read_crawl_order even if the
     # resumed frontier drains before reaching them
-    import glob as _glob
-    import shutil as _shutil
-    for stale in _glob.glob(os.path.join(out_dir, "rounds", "round=*")):
+    for stale in glob.glob(os.path.join(out_dir, "rounds", "round=*")):
         if (int(stale.rsplit("=", 1)[1]) >= round_no
                 and not os.path.exists(os.path.join(stale, "_MANIFEST.json"))):
-            _shutil.rmtree(stale)
-    return round_no, frontier
+            shutil.rmtree(stale)
+    return round_no
 
 
 def read_crawl_order(out_dir: str):
     """Canonical crawl order from the schedule checkpoints:
     (round, host, fetch_order) ascending."""
-    import glob
-
     import pandas as pd
-    import pyarrow.parquet as pq
 
     frames = []
     for rdir in sorted(glob.glob(os.path.join(out_dir, "rounds", "round=*"))):
@@ -1141,8 +1040,6 @@ def read_host_edges(out_dir: str):
     in ``map_batches`` over the checkpoint files and only (src, dst)
     pairs reach the one distinct shuffle; self-edges (intra-host nav)
     are dropped at the source."""
-    import glob
-
     import ray.data as rd
     from ray.data.aggregate import Count
 
@@ -1188,8 +1085,6 @@ def crawl_health(out_dir: str):
     n_scheduled, n_deferred, n_fetched, n_failed, rounds_active),
     host-sorted.
     """
-    import glob
-
     import numpy as np
     import pandas as pd
     import ray.data as rd

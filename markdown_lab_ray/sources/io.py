@@ -33,26 +33,34 @@ def read_seed_links(path: str):
                           for i, u in enumerate(links)])
 
 
+def write_rendered_batch(batch: pa.Table, out_dir: str,
+                         fmt: str = "markdown", url_col: str = "url",
+                         payload_col: str = "payload") -> pa.Table:
+    """One file per URL, reference filename scheme: the write loop of
+    ``write_rendered_files``, also run inside the batch verb's convert
+    tasks.  Idempotent — same URL → same filename.  NOTE: the
+    reference's filename scheme is not injective (queries are stripped;
+    ``/`` → ``_`` can collide), so distinct URLs may overwrite each
+    other — inherent to the reference layout (``url_utils.py:46-94``);
+    parquet checkpoints are the lossless sink."""
+    os.makedirs(out_dir, exist_ok=True)
+    for url, payload in zip(batch.column(url_col).to_pylist(),
+                            batch.column(payload_col).to_pylist()):
+        name = get_filename_from_url(url, fmt)
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            f.write(payload or "")
+    return batch
+
+
 def write_rendered_files(ds, out_dir: str, fmt: str = "markdown",
                          url_col: str = "url", payload_col: str = "payload"):
-    """One file per URL, reference filename scheme.  Distributed write:
-    each task writes its batch's files (idempotent — same URL → same
-    filename).  NOTE: the reference's filename scheme is not injective
-    (queries are stripped; ``/`` → ``_`` can collide), so distinct URLs
-    may overwrite each other — inherent to the reference layout
-    (``url_utils.py:46-94``); parquet checkpoints are the lossless sink."""
+    """Distributed ``write_rendered_batch``: each task writes its
+    batch's files."""
     os.makedirs(out_dir, exist_ok=True)
-
-    def write_batch(batch: pa.Table) -> pa.Table:
-        for url, payload in zip(batch.column(url_col).to_pylist(),
-                                batch.column(payload_col).to_pylist()):
-            name = get_filename_from_url(url, fmt)
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-                f.write(payload or "")
-        return batch
-
     # consume via count() so the write is executed exactly once
-    ds.map_batches(write_batch, batch_format="pyarrow").count()
+    ds.map_batches(write_rendered_batch, batch_format="pyarrow",
+                   fn_kwargs=dict(out_dir=out_dir, fmt=fmt, url_col=url_col,
+                                  payload_col=payload_col)).count()
     return out_dir
 
 

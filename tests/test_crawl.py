@@ -427,14 +427,27 @@ def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
     assert "actors_start" not in timings[1]
 
 
-def test_fetch_settings_reach_the_crawl_fetch(monkeypatch):
+def _scheduled_batch(spec, n_hosts=2, n_pages=2):
+    """Scheduled crawl rows for the first pages of the first hosts."""
+    import pyarrow as pa
+
+    from markdown_lab_ray.kernels.urls import url_seen_key
+
+    urls = [spec.page_url(i, j) for i in range(n_hosts)
+            for j in range(n_pages)]
+    return pa.table({"loc": urls,
+                     "host": [spec.host(i) for i in range(n_hosts)
+                              for _ in range(n_pages)],
+                     "depth": [0] * len(urls),
+                     "seen_key": [url_seen_key(u) for u in urls]})
+
+
+def test_fetch_settings_reach_the_crawl_fetch(monkeypatch, tmp_path):
     """``fetch_convert_batch`` fetches through one per-process
     ``FetchStage`` built from its settings: with a payload cache, two
     batches of the same URLs resolve each URL once, both through the
     same fetcher."""
     import functools
-
-    import pyarrow as pa
 
     from markdown_lab_ray.pipelines import crawl
 
@@ -456,18 +469,84 @@ def test_fetch_settings_reach_the_crawl_fetch(monkeypatch):
     monkeypatch.setattr(crawl.FetchStage, "__call__", recording_call)
 
     spec = SiteSpec(n_hosts=2, pages_per_host=4)
-    urls = [spec.page_url(i, j) for i in range(2) for j in range(2)]
-    batch = pa.table({"loc": urls,
-                      "host": [spec.host(i) for i in range(2)
-                               for _ in range(2)],
-                      "depth": [0] * len(urls)})
+    batch = _scheduled_batch(spec)
+    urls = batch.column("loc").to_pylist()
     for _ in range(2):
-        docs = crawl.fetch_convert_batch(
-            batch, functools.partial(SyntheticWeb, spec), cache_ttl=3600.0)
-        assert docs.column("status").to_pylist() == [200] * len(urls)
+        tally = crawl.fetch_convert_batch(
+            batch, functools.partial(SyntheticWeb, spec), str(tmp_path),
+            cache_ttl=3600.0)
+        assert tally.to_pylist() == [{"ok": len(urls), "n": len(urls)}]
     assert sorted(resolved) == sorted(urls)
     assert len(fetchers) == 2 and fetchers[0] is fetchers[1]
     assert fetchers[0].web.hits == len(urls)
+
+
+def test_fetch_convert_retry_is_idempotent(tmp_path):
+    """A retried fetch task overwrites its own parts: two calls on the
+    same batch into one round dir leave one docs, one chunks and one
+    frontier_next part, holding exactly the rows one call writes."""
+    import functools
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from markdown_lab_ray.pipelines.crawl import fetch_convert_batch
+
+    spec = SiteSpec(n_hosts=2, pages_per_host=6)
+    batch = _scheduled_batch(spec, n_pages=3)
+    kwargs = dict(web_factory=functools.partial(SyntheticWeb, spec),
+                  max_depth=2)
+    once, twice = str(tmp_path / "once"), str(tmp_path / "twice")
+    fetch_convert_batch(batch, rdir=once, **kwargs)
+    for _ in range(2):
+        fetch_convert_batch(batch, rdir=twice, **kwargs)
+    for kind in ("docs", "chunks", "frontier_next"):
+        parts = glob.glob(f"{twice}/{kind}/*.parquet")
+        assert len(parts) == 1, kind
+        want = pq.read_table(glob.glob(f"{once}/{kind}/*.parquet")[0])
+        assert want.num_rows > 0
+        assert pq.read_table(parts[0]).equals(want), kind
+
+
+def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
+    """A crawl runs one Ray Data execution for discovery plus two per
+    round (schedule, fetch); a batch convert runs one.  Executions over a
+    bare input buffer (reading an already materialized dataset) are not
+    counted."""
+    import functools
+
+    from ray.data._internal.execution.operators.input_data_buffer import (
+        InputDataBuffer)
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from markdown_lab_ray.pipelines.convert import run_batch_convert
+    from markdown_lab_ray.pipelines.crawl import run_crawl_ray
+
+    dags: list = []
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, dag, *args, **kwargs):
+        if not isinstance(dag, InputDataBuffer):
+            dags.append(dag)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    spec = SiteSpec(n_hosts=2, pages_per_host=12)
+    cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
+                       max_rounds=3, max_depth=2, seen_shards=2)
+    result = run_crawl_ray(functools.partial(SyntheticWeb, spec),
+                           spec.seed_urls(), str(tmp_path / "crawl"), cfg)
+    assert result.rounds == 3
+    assert all(m["scheduled"] > 0 for m in result.manifest)
+    assert len(dags) == 1 + 2 * result.rounds
+
+    dags.clear()
+    urls = [spec.page_url(i, j) for i in range(2) for j in range(5)]
+    assert run_batch_convert(functools.partial(SyntheticWeb, spec), urls,
+                             str(tmp_path / "batch"),
+                             save_chunks=True) == (len(urls), 0)
+    assert len(dags) == 1
 
 
 _ONE_CPU_CRAWL = """

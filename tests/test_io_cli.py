@@ -369,6 +369,32 @@ def test_cli_batch_links_file(ray_session, tmp_path, capsys):
     assert any("# " in (p or "") for p in payloads)
 
 
+def test_batch_convert_keeps_chunks_of_repeated_urls(tmp_path):
+    """A links list that has one URL in two batches: each batch writes
+    its own chunks part, so every page keeps its chunks."""
+    import functools
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from markdown_lab_ray.pipelines.convert import _fetch_render_batch
+    from markdown_lab_ray.sources.synth import SiteSpec, SyntheticWeb
+
+    spec = SiteSpec(n_hosts=1, pages_per_host=3)
+    p0, p1, p2 = (spec.page_url(0, j) for j in range(3))
+    out = str(tmp_path / "batch_out")
+    for seq, locs in ((0, [p0, p1]), (2, [p0, p2])):
+        _fetch_render_batch(
+            pa.table({"loc": locs, "seq": [seq, seq + 1]}),
+            functools.partial(SyntheticWeb, spec), "markdown", out,
+            save_chunks=True)
+    chunks = pq.read_table(glob.glob(f"{out}/chunks/*.parquet"))
+    assert set(chunks.column("source_url").to_pylist()) == {p0, p1, p2}
+    docs = pq.read_table(glob.glob(f"{out}/docs/*.parquet"))
+    assert sorted(docs.column("url").to_pylist()) == sorted([p0, p0, p1, p2])
+
+
 def test_cli_batch_json_format(ray_session, tmp_path):
     from markdown_lab_ray.cli import main
 
