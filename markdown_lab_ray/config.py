@@ -112,6 +112,8 @@ class EngineConfig:
                              "the circuit breaker is enabled")
         if self.trap_links_per_template < 0:
             raise ValueError("trap_links_per_template must be non-negative")
+        if self.authority_edge_cap < 1:
+            raise ValueError("authority_edge_cap must be positive")
         return self
 
     @classmethod

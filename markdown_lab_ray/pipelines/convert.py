@@ -92,7 +92,7 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
     Document (S3 tolerance).  The task writes what it makes into
     ``out_dir``: the docs part, the chunks part when asked (both named
     by the batch's ``seq`` keys) and the 200 pages' rendered files; it
-    returns its ``{ok, n}`` tally."""
+    returns its one-row tally, ``ok`` 200 pages."""
     import os
 
     import pyarrow.compute as pc
@@ -100,7 +100,7 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
     from ..kernels.render import render_document
     from ..sources.io import write_rendered_batch
     from ..stages.convert import convert_row
-    from .crawl import _chunk_rows, _tally, _write_part, fetcher
+    from .crawl import _chunk_rows, _write_part, fetcher
 
     fetched = fetcher(web_factory)(batch)
     titles, payloads = [], []
@@ -121,9 +121,9 @@ def _fetch_render_batch(batch: pa.Table, web_factory, fmt: str,
     if save_chunks:
         _write_part(_chunk_rows(docs, chunk_size, chunk_overlap),
                     os.path.join(out_dir, "chunks"), keys)
-    write_rendered_batch(docs.filter(pc.equal(docs.column("status"), 200)),
-                         os.path.join(out_dir, "rendered"), fmt)
-    return _tally(docs)
+    ok = docs.filter(pc.equal(docs.column("status"), 200))
+    write_rendered_batch(ok, os.path.join(out_dir, "rendered"), fmt)
+    return pa.table({"ok": pa.array([ok.num_rows], pa.int64())})
 
 
 def run_batch_convert(web_factory, urls: list[str], out_dir: str,

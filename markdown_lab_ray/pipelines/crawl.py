@@ -12,8 +12,10 @@ task that makes it (``_write_part``):
   and only the scheduled rows are materialized;
 - the fetch execution marks the scheduled rows seen and runs
   ``fetch_convert_batch`` tasks that write ``docs/``, ``chunks/`` and
-  their pages' links into ``frontier_next/``, returning one ``{ok, n}``
-  tally row each.
+  their pages' links into ``frontier_next/``.  Their host rows
+  ``(host, ok, n, dsts)`` (``_host_tally``) are their one channel to the
+  driver: the round's failures, the circuit breaker's streaks and the
+  authority edges all come from them; no round reads ``docs/`` back.
 
 The round's ``_MANIFEST.json`` is written after both executions, so a
 killed run resumes from the last complete round with per-partition
@@ -44,9 +46,13 @@ import pyarrow.parquet as pq
 
 from ..config import EngineConfig
 from ..kernels.render import document_to_markdown
-from ..state.politeness import effective_budget, round_budget, schedule_group
+from ..state.authority import (authority_multipliers, local_pagerank_hosts,
+                               merge_edges)
+from ..state.politeness import (breaker_update, effective_budget,
+                                round_budget, schedule_group)
 from ..state.robots import LocalRobotsCache
 from ..state.seen import SeenProbe, create_seen_shards
+from ..stages.bucketing import tag_buckets_batch
 from ..stages.convert import chunk_explode_batch, convert_row
 from .crawl_spec import discover_seed_frontier
 
@@ -170,27 +176,15 @@ class FetchStage:
         statuses, htmls = [], []
         hosts = (batch.column("host").to_pylist()
                  if "host" in batch.column_names else None)
-        methods = (batch.column("method").to_pylist()
-                   if "method" in batch.column_names else None)
         for i, loc in enumerate(batch.column("loc").to_pylist()):
-            is_head = methods is not None and methods[i] == "HEAD"
-            # cache hits don't touch the network → no pacing needed;
-            # a HEAD always touches the network (it bypasses the payload
-            # cache), so it is ALWAYS paced
-            if self.pacing_rps > 0 and (is_head or not (
+            # cache hits don't touch the network → no pacing needed
+            if self.pacing_rps > 0 and not (
                     hasattr(self.web, "has_fresh")
-                    and self.web.has_fresh(loc))):
+                    and self.web.has_fresh(loc)):
                 self._pace(hosts[i] if hosts else "")
-            if is_head:
-                # reference client.head (client.py:100-114): status +
-                # headers only, never a body
-                status, _headers = _head(self.web, loc)
-                statuses.append(status)
-                htmls.append("")
-            else:
-                status, body = self.web.resolve(loc)
-                statuses.append(status)
-                htmls.append(body if isinstance(body, str) else "")
+            status, body = self.web.resolve(loc)
+            statuses.append(status)
+            htmls.append(body if isinstance(body, str) else "")
         return batch.append_column(
             "status", pa.array(statuses, pa.int32())
         ).append_column("html", pa.array(htmls, pa.string()))
@@ -215,9 +209,6 @@ def _head(web, loc: str):
     """HEAD against a resolver: use its native ``head`` when present
     (real clients / SyntheticWeb), else fall back to resolve-and-drop
     (correct status, body discarded)."""
-    target = getattr(web, "resolve_fn", None) or web  # unwrap CachedResolver
-    if hasattr(target, "__self__") and hasattr(target.__self__, "head"):
-        return target.__self__.head(loc)
     if hasattr(web, "head"):
         return web.head(loc)
     status, body = (web.resolve(loc) if hasattr(web, "resolve")
@@ -229,8 +220,7 @@ def _head(web, loc: str):
 def fetch_head_batch(batch: pa.Table, web_factory) -> pa.Table:
     """Task-pool HEAD tier: frontier rows → +status, content_length —
     link-checking / freshness probes without ever shipping a body
-    (reference S2).  Use on rows with ``method == "HEAD"`` or any
-    frontier slice."""
+    (reference S2), on any frontier slice."""
     web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
     statuses, lengths = [], []
     for loc in batch.column("loc").to_pylist():
@@ -269,18 +259,99 @@ def _chunk_rows(docs_tbl: pa.Table, chunk_size: int,
                                url_col="url", text_col="payload")
 
 
-def _tally(docs_tbl: pa.Table) -> pa.Table:
-    """A fetch task's one-row result: ``ok`` 200 pages of ``n``."""
-    ok = pc.sum(pc.equal(docs_tbl.column("status"), 200)).as_py() or 0
-    return pa.table({"ok": pa.array([ok], pa.int64()),
-                     "n": pa.array([docs_tbl.num_rows], pa.int64())})
+_HOST_ROWS_SCHEMA = pa.schema({
+    "host": pa.string(), "ok": pa.int64(), "n": pa.int64(),
+    "dsts": pa.list_(pa.string())})
+
+
+def _cross_host_links(docs_tbl: pa.Table) -> pa.Table:
+    """Host rows ``(src, 0, 0, [dst])``, one per http(s) link of a 200
+    page that leaves its host.  The dst host comes from an Arrow regex
+    kernel: for http(s) URLs ``[^/?#]*`` after the scheme IS urlparse's
+    netloc (pinned in tests/test_crawl_authority.py), so no Python
+    parse touches the per-link work."""
+    b = docs_tbl.filter(pc.equal(docs_tbl.column("status"), 200))
+    links = b.column("links")
+    flat = pc.list_flatten(links)
+    srcs = b.column("host").take(pc.list_parent_indices(links))
+    keep = pc.fill_null(
+        pc.or_(pc.starts_with(flat, pattern="http://"),
+               pc.starts_with(flat, pattern="https://")), False)
+    # urlsplit strips \t\r\n anywhere in the URL (WHATWG rule) — mirror
+    # it so a malformed href like "http://a.\tcom/x" yields the same
+    # host key as the urlparse-based crawl/oracle paths
+    cleaned = pc.replace_substring_regex(
+        flat.filter(keep), pattern="[\\t\\r\\n]", replacement="")
+    dsts = pc.struct_field(
+        pc.extract_regex(cleaned, pattern=r"^https?://(?P<host>[^/?#]*)"),
+        "host")
+    srcs = srcs.filter(keep)
+    cross = pc.fill_null(pc.and_(pc.not_equal(dsts, ""),
+                                 pc.not_equal(dsts, srcs)), False)
+    dsts = dsts.filter(cross).combine_chunks()
+    zeros = pa.array([0] * len(dsts), pa.int64())
+    one_each = pa.array(range(len(dsts) + 1), pa.int32())
+    return pa.table([srcs.filter(cross), zeros, zeros,
+                     pa.ListArray.from_arrays(one_each, dsts)],
+                    schema=_HOST_ROWS_SCHEMA)
+
+
+def _fold_hosts(rows: pa.Table, keep_hosts) -> pa.Table:
+    """Host rows ``(host, ok, n, dsts)`` → one host-sorted row per host:
+    ``ok`` and ``n`` summed, ``dsts`` the sorted union.  ``keep_hosts``
+    None keeps every host, else the hosts with a failure, with ``dsts``
+    or in ``keep_hosts``.  A fetch task's tally, and with the circuit
+    breaker on the group function of the round's bucketed fold."""
+    sums = rows.select(["host", "ok", "n"]).group_by("host").aggregate(
+        [("ok", "sum"), ("n", "sum")])
+    dsts = rows.column("dsts")
+    pairs = pa.table({
+        "host": rows.column("host").take(pc.list_parent_indices(dsts)),
+        "dst": pc.list_flatten(dsts)}).group_by(["host", "dst"]).aggregate([])
+    by_host: dict[str, list[str]] = {}
+    for h, d in sorted(zip(pairs.column("host").to_pylist(),
+                           pairs.column("dst").to_pylist())):
+        by_host.setdefault(h, []).append(d)
+    folded = pa.table({
+        "host": sums.column("host"), "ok": sums.column("ok_sum"),
+        "n": sums.column("n_sum"),
+        "dsts": pa.array([by_host.get(h, [])
+                          for h in sums.column("host").to_pylist()],
+                         pa.list_(pa.string()))})
+    if keep_hosts is not None:
+        folded = folded.filter(pc.or_(pc.or_(
+            pc.less(folded.column("ok"), folded.column("n")),
+            pc.greater(pc.list_value_length(folded.column("dsts")), 0)),
+            pc.is_in(folded.column("host"), value_set=pa.array(
+                sorted(keep_hosts), pa.string()))))
+    return folded.sort_by("host").cast(_HOST_ROWS_SCHEMA)
+
+
+def _host_tally(docs_tbl: pa.Table, edges: bool = False,
+                all_hosts: bool = False) -> pa.Table:
+    """A fetch task's host rows, the fetch tasks' one channel to the
+    driver.  A host gets a row when it has a non-200 page in the batch
+    or, with ``edges``, a 200 page that links to another host.
+    ``all_hosts`` (the circuit breaker) gives every host a row: any 200
+    in the round closes a host's streak, and only the round's fold can
+    tell whether another batch had one."""
+    n = docs_tbl.num_rows
+    rows = pa.table([
+        docs_tbl.column("host"),
+        pc.cast(pc.equal(docs_tbl.column("status"), 200), pa.int64()),
+        pa.array([1] * n, pa.int64()),
+        pa.array([[]] * n, pa.list_(pa.string()))], schema=_HOST_ROWS_SCHEMA)
+    if edges:
+        rows = pa.concat_tables([rows, _cross_host_links(docs_tbl)])
+    return _fold_hosts(rows, None if all_hosts else ())
 
 
 def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
                         cache_ttl: float = 0.0, pacing_rps: float = 0.0,
                         robots_factory=None, chunk_size: int = 1000,
                         chunk_overlap: int = 200, max_depth: int = 0,
-                        trap_cap: int = 0) -> pa.Table:
+                        trap_cap: int = 0, edges: bool = False,
+                        all_hosts: bool = False) -> pa.Table:
     """The crawl's fetch + convert stage, a stateless task: this worker
     process's ``fetcher`` fetches the batch of scheduled rows,
     ``crawl_convert_batch`` converts each page once, and the task writes
@@ -289,7 +360,8 @@ def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
     rows of its 2xx/3xx pages (``links_explode_batch``; a 3xx row's
     links column holds its redirect target) into ``frontier_next/``.
     Fetched HTML and docs never leave the worker process; the task
-    returns its ``_tally``."""
+    returns its ``_host_tally`` (``edges``: authority on; ``all_hosts``:
+    breaker on)."""
     fetched = fetcher(web_factory, cache_ttl, pacing_rps,
                       robots_factory)(batch)
     docs_tbl = crawl_convert_batch(fetched)
@@ -304,7 +376,7 @@ def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
             pc.less(docs_tbl.column("depth"), max_depth)))
         _write_part(links_explode_batch(link_src, trap_cap=trap_cap),
                     os.path.join(rdir, "frontier_next"), keys)
-    return _tally(docs_tbl)
+    return _host_tally(docs_tbl, edges, all_hosts)
 
 
 def crawl_convert_batch(batch: pa.Table) -> pa.Table:
@@ -580,112 +652,23 @@ def _parquet_rows(path: str) -> int:
                for f in glob.glob(os.path.join(path, "*.parquet")))
 
 
-def _update_breaker(breaker: dict, docs_dir: str, round_no: int,
+def _update_breaker(breaker: dict, host_rows: list, round_no: int,
                     cfg) -> None:
-    """Advance the circuit-breaker state from this round's fetch
-    results.  Per-host (ok, n) counts are folded per block, bucketed by
-    ``hash(host) % B`` (B group tasks regardless of host cardinality —
-    the repo's standard per-key fold), and FILTERED distributed-side:
-    only hosts with a failure this round, plus hosts already carrying
-    breaker state, reach the driver — O(failing hosts), never
-    O(scheduled hosts)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..stages.bucketing import key_buckets
-    from ..state.politeness import breaker_update
-
-    prev_hosts = frozenset(breaker)
-
-    def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = (pd.DataFrame({"host": df["host"],
-                           "ok": (df["status"] == 200).astype("int64")})
-             .groupby("host", sort=False)["ok"].agg(["sum", "size"])
-             .reset_index())
-        out = pd.DataFrame({"host": g["host"],
-                            "ok": g["sum"].astype("int64"),
-                            "n": g["size"].astype("int64")})
-        out["_b"] = key_buckets(out["host"].to_numpy(), 32)
-        return out
-
-    def fold(g: "pd.DataFrame") -> "pd.DataFrame":
-        a = (g.groupby("host", sort=False)
-             .agg(ok=("ok", "sum"), n=("n", "sum")).reset_index())
-        keep = (a["n"] - a["ok"] > 0) | a["host"].isin(prev_hosts)
-        return a[keep][["host", "ok", "n"]]
-
-    stats = (rd.read_parquet(docs_dir, columns=["host", "status"])
-             .map_batches(partial, batch_format="pandas")
-             .groupby("_b").map_groups(fold, batch_format="pandas")
-             .to_pandas())
-
-    if stats.empty:
-        # all-ok round with no carried streaks: the fold emits zero
-        # rows, and an all-empty map_groups result has no columns
-        return
-    for r in stats.sort_values("host").itertuples(index=False):
-        n_ok, n_fail = int(r.ok), int(r.n - r.ok)
-        prev = breaker.get(r.host, [0, 0])
+    """Advance the circuit-breaker state from this round's folded host
+    rows: every host that failed or carries breaker state (a healthy
+    host with ``dsts`` leaves the table as it is)."""
+    for r in sorted(host_rows, key=lambda r: r["host"]):
+        n_ok, n_fail = int(r["ok"]), int(r["n"] - r["ok"])
+        prev = breaker.get(r["host"], [0, 0])
         streak, tripped = breaker_update(int(prev[0]), n_ok, n_fail,
                                          cfg.breaker_threshold)
         if tripped:
-            breaker[r.host] = [0, round_no + 1
-                               + cfg.breaker_cooldown_rounds]
+            breaker[r["host"]] = [0, round_no + 1
+                                  + cfg.breaker_cooldown_rounds]
         elif streak > 0:
-            breaker[r.host] = [streak, int(prev[1])]
+            breaker[r["host"]] = [streak, int(prev[1])]
         else:
-            breaker.pop(r.host, None)
-
-
-def _update_authority_edges(host_edges: set, docs_dir: str, cfg) -> set:
-    """Fold this round's fetched pages into the cross-host link graph.
-    Per-batch distinct (src, dst) pairs collapse each block, then one
-    keyed distinct bounds what reaches the driver to O(host pairs) —
-    capped deterministically at ``authority_edge_cap`` (the same
-    ``merge_edges`` rule the oracle applies)."""
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from ..state.authority import merge_edges
-
-    def partial(b: pa.Table) -> pa.Table:
-        # vectorized explode (same shape as links_explode_batch): keep
-        # 200s, list_flatten the links, take the page host per link;
-        # dst host comes from an Arrow regex kernel — for http(s) URLs
-        # ``[^/?#]*`` after the scheme IS urlparse's netloc (equality
-        # pinned in tests/test_crawl_authority.py), so no Python parse
-        # touches the per-link fold at all.  The distinct-pairs set is
-        # O(host pairs) per block, same as extract_host_edges.
-        b = b.filter(pc.equal(b.column("status"), 200))
-        links = b.column("links")
-        flat = pc.list_flatten(links)
-        srcs = b.column("host").take(pc.list_parent_indices(links))
-        keep = pc.fill_null(
-            pc.or_(pc.starts_with(flat, pattern="http://"),
-                   pc.starts_with(flat, pattern="https://")), False)
-        # urlsplit strips \t\r\n anywhere in the URL (WHATWG rule) —
-        # mirror it so a malformed href like "http://a.\tcom/x" yields
-        # the same host key as the urlparse-based crawl/oracle paths
-        cleaned = pc.replace_substring_regex(
-            flat.filter(keep), pattern="[\\t\\r\\n]", replacement="")
-        dsts = pc.struct_field(
-            pc.extract_regex(cleaned,
-                             pattern=r"^https?://(?P<host>[^/?#]*)"),
-            "host")
-        pairs = {(s, d) for s, d in zip(srcs.filter(keep).to_pylist(),
-                                        dsts.to_pylist())
-                 if d and d != s}
-        ps = sorted(pairs)
-        return pa.table({"src": pa.array([a for a, _ in ps], pa.string()),
-                         "dst": pa.array([d for _, d in ps], pa.string())})
-
-    df = (rd.read_parquet(docs_dir, columns=["host", "links", "status"])
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby(["src", "dst"]).aggregate(Count(alias_name="_n"))
-          .to_pandas())
-    new = (set(zip(df["src"], df["dst"]))
-           if len(df) and "src" in df.columns else set())
-    return merge_edges(host_edges, new, cfg.authority_edge_cap)
+            breaker.pop(r["host"], None)
 
 
 def _write_authority_state(rdir: str, host_edges: set) -> None:
@@ -852,8 +835,6 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             h for h, (streak, ou) in breaker.items() if ou > round_no)
         host_boosts: dict = {}
         if cfg.authority_boost > 1 and host_edges:
-            from ..state.authority import (authority_multipliers,
-                                           local_pagerank_hosts)
             host_boosts = authority_multipliers(
                 local_pagerank_hosts(host_edges, cfg.authority_iters),
                 cfg.authority_boost)
@@ -877,13 +858,14 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
         # pending host is breaker-open (every other host group schedules
         # at least one row): it sits out, and its deferred rows carry
         # over (the oracle keeps advancing rounds the same way)
-        ok = total = 0
+        failed = 0
         if n_scheduled:
             # repartition first: schedule blocks mirror host groups,
             # which can leave the fetch chain with too few blocks to
             # parallelize
             n_blocks = max(1, min(n_scheduled // cfg.fetch_batch_size + 1,
                                   total_cpus * 4))
+            breaker_on = cfg.breaker_threshold > 0
             t0 = time.perf_counter()
             tallies = (scheduled.repartition(n_blocks)
                        .map_batches(SeenProbe(shards, mode="mark",
@@ -900,17 +882,30 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                                chunk_size=cfg.chunk_size,
                                chunk_overlap=cfg.chunk_overlap,
                                max_depth=cfg.max_depth,
-                               trap_cap=cfg.trap_links_per_template))
-                       .take_all())
+                               trap_cap=cfg.trap_links_per_template,
+                               edges=cfg.authority_boost > 1,
+                               all_hosts=breaker_on)))
+            if breaker_on:
+                # one row per host and batch: fold them per host bucket
+                # before they reach the driver
+                tallies = (tallies.map_batches(
+                    tag_buckets_batch, batch_format="pyarrow",
+                    fn_kwargs=dict(key_col="host", n_buckets=32))
+                    .groupby("_b").map_groups(
+                        _fold_hosts, batch_format="pyarrow",
+                        fn_kwargs=dict(keep_hosts=frozenset(breaker))))
+            host_rows = tallies.take_all()
             timings["fetch_convert"] = _since(t0)
-            ok = sum(int(t["ok"]) for t in tallies)
-            total = sum(int(t["n"]) for t in tallies)
-            docs_dir = os.path.join(rdir, "docs")
-            if cfg.breaker_threshold > 0:
-                _update_breaker(breaker, docs_dir, round_no, cfg)
+            # the schedule dropped seen and duplicate keys, so every
+            # scheduled row is fetched once; every failure has a row
+            failed = sum(int(r["n"] - r["ok"]) for r in host_rows)
+            if breaker_on:
+                _update_breaker(breaker, host_rows, round_no, cfg)
             if cfg.authority_boost > 1:
-                host_edges = _update_authority_edges(host_edges, docs_dir,
-                                                     cfg)
+                host_edges = merge_edges(
+                    host_edges,
+                    {(r["host"], d) for r in host_rows for d in r["dsts"]},
+                    cfg.authority_edge_cap)
 
         # every part is closed: the manifest makes the round complete
         if cfg.breaker_threshold > 0:
@@ -918,14 +913,14 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
         if cfg.authority_boost > 1:
             _write_authority_state(rdir, host_edges)
         entry = {
-            "round": round_no, "scheduled": total, "fetched": ok,
-            "failed": total - ok,
+            "round": round_no, "scheduled": n_scheduled,
+            "fetched": n_scheduled - failed, "failed": failed,
             "deferred": n_deferred,
             "timings": timings,
         }
         result.manifest.append(entry)
-        result.fetched += ok
-        result.failed += total - ok
+        result.fetched += n_scheduled - failed
+        result.failed += failed
         result.rounds = round_no + 1
         with open(os.path.join(rdir, "_MANIFEST.json"), "w") as f:
             json.dump(entry, f)

@@ -3,7 +3,6 @@ status CLI, sitemap-only export (VERDICT r01 #5-#7)."""
 
 import json
 
-import pyarrow as pa
 import pytest
 
 
@@ -67,6 +66,20 @@ def test_config_fetch_tier_has_one_mode():
         EngineConfig.from_dict({"parse_concurrency": 0})
 
 
+def test_config_rejects_non_positive_authority_edge_cap():
+    """``merge_edges`` keeps ``sorted(edges)[:cap]``: a negative cap
+    would drop the largest edges every round and 0 would turn authority
+    off, so neither passes validation."""
+    from markdown_lab_ray.config import EngineConfig
+
+    for cap in (-5, 0):
+        with pytest.raises(ValueError, match="authority_edge_cap"):
+            EngineConfig.from_dict({"authority_boost": 2,
+                                    "authority_edge_cap": cap})
+    assert EngineConfig.from_dict(
+        {"authority_boost": 2, "authority_edge_cap": 1}).authority_edge_cap == 1
+
+
 def test_config_file_env_flag_layering(tmp_path, monkeypatch):
     """CLI precedence contract: file < env < flags."""
     from markdown_lab_ray.config import EngineConfig
@@ -94,25 +107,6 @@ def test_synthetic_web_head_matches_get_status():
         assert head_status == get_status
         assert headers["content-length"] == len(
             body.encode() if isinstance(body, str) else body)
-
-
-def test_fetch_stage_honors_head_method():
-    from markdown_lab_ray.pipelines.crawl import FetchStage
-    from markdown_lab_ray.sources.synth import SiteSpec, SyntheticWeb
-
-    spec = SiteSpec(n_hosts=1, pages_per_host=3)
-    stage = FetchStage(lambda: SyntheticWeb(spec))
-    batch = pa.table({
-        "loc": [f"https://{spec.host(0)}/page/0",
-                f"https://{spec.host(0)}/page/1",
-                f"https://{spec.host(0)}/page/9"],
-        "host": [spec.host(0)] * 3,
-        "method": ["GET", "HEAD", "HEAD"],
-    })
-    out = stage(batch)
-    assert out.column("status").to_pylist() == [200, 200, 404]
-    htmls = out.column("html").to_pylist()
-    assert htmls[0] != "" and htmls[1] == "" and htmls[2] == ""
 
 
 def test_frontier_freshness_query(ray_session):

@@ -475,7 +475,8 @@ def test_fetch_settings_reach_the_crawl_fetch(monkeypatch, tmp_path):
         tally = crawl.fetch_convert_batch(
             batch, functools.partial(SyntheticWeb, spec), str(tmp_path),
             cache_ttl=3600.0)
-        assert tally.to_pylist() == [{"ok": len(urls), "n": len(urls)}]
+        # all-200 pages and no authority: the batch sends no host row
+        assert tally.num_rows == 0
     assert sorted(resolved) == sorted(urls)
     assert len(fetchers) == 2 and fetchers[0] is fetchers[1]
     assert fetchers[0].web.hits == len(urls)
@@ -510,8 +511,9 @@ def test_fetch_convert_retry_is_idempotent(tmp_path):
 
 def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
     """A crawl runs one Ray Data execution for discovery plus two per
-    round (schedule, fetch); a batch convert runs one.  Executions over a
-    bare input buffer (reading an already materialized dataset) are not
+    round (schedule, fetch), with or without the circuit breaker and
+    authority boost; a batch convert runs one.  Executions over a bare
+    input buffer (reading an already materialized dataset) are not
     counted."""
     import functools
 
@@ -535,11 +537,19 @@ def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
     spec = SiteSpec(n_hosts=2, pages_per_host=12)
     cfg = EngineConfig(requests_per_second=0.05, round_seconds=60.0,
                        max_rounds=3, max_depth=2, seen_shards=2)
-    result = run_crawl_ray(functools.partial(SyntheticWeb, spec),
-                           spec.seed_urls(), str(tmp_path / "crawl"), cfg)
-    assert result.rounds == 3
-    assert all(m["scheduled"] > 0 for m in result.manifest)
-    assert len(dags) == 1 + 2 * result.rounds
+    # the opt-in breaker and authority ride the fetch tally: no extra
+    # execution per round
+    for name, run_cfg in (
+            ("crawl", cfg),
+            ("crawl_opt_in", cfg.update(breaker_threshold=6,
+                                        authority_boost=2))):
+        dags.clear()
+        result = run_crawl_ray(functools.partial(SyntheticWeb, spec),
+                               spec.seed_urls(), str(tmp_path / name),
+                               run_cfg)
+        assert result.rounds == 3
+        assert all(m["scheduled"] > 0 for m in result.manifest)
+        assert len(dags) == 1 + 2 * result.rounds, name
 
     dags.clear()
     urls = [spec.page_url(i, j) for i in range(2) for j in range(5)]
