@@ -139,9 +139,9 @@ def _run_scaling_workload(num_cpus: int) -> dict:
     # 512k pages: big enough that the scaled fetch+convert phase
     # dominates the (already-overlapped) fixed round costs at 32 CPUs —
     # the realistic shape, since real cluster rounds are far larger
-    # still.  seen_shards scales with the cluster (a real 4N-node
-    # deployment sizes its state actors to the cluster); shard count
-    # doesn't change results — the seen set is shard-count-invariant.
+    # still.  seen_shards (the seen runs' host buckets, one schedule
+    # fold task each) scales with the cluster; the bucket count doesn't
+    # change results — the seen set is bucket-count-invariant.
     spec = SiteSpec(**_SCALING_SPEC)
     cfg = EngineConfig(requests_per_second=80.0, round_seconds=60.0,
                        max_rounds=1, max_depth=0,

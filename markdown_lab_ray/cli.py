@@ -392,7 +392,7 @@ def cmd_config(args) -> int:
             if env:
                 cfg = cfg.update(**env)
         else:
-            cfg = EngineConfig.from_env().validate()
+            cfg = EngineConfig.from_env()
         if args.save:
             cfg.save_to_file(args.save)
             print(f"wrote {args.save}")

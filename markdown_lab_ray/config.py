@@ -42,7 +42,11 @@ class EngineConfig:
     image_batch_size: int = 64         # binary payload rows stay small
     fetch_mode: str = "tasks"          # the one fetch tier: tasks, one
                                        # fetcher per worker process
-    seen_shards: int = 16              # URL-seen filter shard actors
+    seen_shards: int = 16              # host buckets of the URL-seen
+                                       # runs (the schedule fold's
+                                       # keyed_fold buckets); fixed for
+                                       # a crawl's life, resume keeps
+                                       # the recorded count
     payload_cache_ttl: float = 0.0     # >0 → per-worker-process TTL/LRU cache
     pacing_rps: float = 0.0            # >0 → realtime per-host pacing in
                                        # the fetcher (sleeps!); buckets are
@@ -50,7 +54,9 @@ class EngineConfig:
                                        # the worker count for a global
                                        # rate; the round budget still
                                        # bounds volume
-    seen_capacity_per_shard: int = 1 << 20
+    seen_capacity_per_shard: int = 1 << 20  # the oracle's LocalSeen
+                                       # filter; a crawl's seen runs
+                                       # size their filters to their keys
     robots_cache: str = "worker"       # "worker" (per-process cache) |
                                        # "actor" (sharded robots actors:
                                        # one fetch per host cluster-wide
@@ -83,7 +89,7 @@ class EngineConfig:
     def validate(self) -> "EngineConfig":
         """Reference-parity constraint checks (core/config.py:71-117:
         positive rps/timeout/retries, overlap < size, known output
-        format).  Called by the file/dict/update constructors; direct
+        format).  Called by the file/dict/env/update constructors; direct
         dataclass construction stays unchecked for test flexibility."""
         if self.requests_per_second <= 0:
             raise ValueError("requests_per_second must be positive")
@@ -114,6 +120,9 @@ class EngineConfig:
             raise ValueError("trap_links_per_template must be non-negative")
         if self.authority_edge_cap < 1:
             raise ValueError("authority_edge_cap must be positive")
+        if self.seen_shards < 1:
+            raise ValueError("seen_shards must be positive: it is the "
+                             "seen runs' host-bucket modulus")
         return self
 
     @classmethod
@@ -206,10 +215,11 @@ class EngineConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "EngineConfig":
-        """Build a config applying ``MARKDOWN_LAB_<FIELD>`` env overrides."""
+        """Build a config applying ``MARKDOWN_LAB_<FIELD>`` env overrides,
+        validated like ``from_dict`` and ``update``."""
         kwargs = cls.env_overrides()
         kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**kwargs).validate()
 
 
 DEFAULT_CONFIG = EngineConfig()

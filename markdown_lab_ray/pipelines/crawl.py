@@ -4,30 +4,37 @@ A round is two Ray Data executions, and every output is written by the
 task that makes it (``_write_part``):
 
 - the schedule execution reads the previous round's ``frontier_next``
-  lazily, drops already-crawled URLs (a ``SeenProbe(filter_unseen)``
-  map stage), then runs ONE ``groupby(host)`` whose per-group function
-  (``make_host_processor``) fuses intra-round dedup, robots checks and
-  the politeness schedule.  Its last stage (``write_schedule_batch``)
-  writes ``schedule/`` and the deferred rows into ``frontier_next/``,
-  and only the scheduled rows are materialized;
-- the fetch execution marks the scheduled rows seen and runs
-  ``fetch_convert_batch`` tasks that write ``docs/``, ``chunks/`` and
-  their pages' links into ``frontier_next/``.  Their host rows
-  ``(host, ok, n, dsts)`` (``_host_tally``) are their one channel to the
-  driver: the round's failures, the circuit breaker's streaks and the
-  authority edges all come from them; no round reads ``docs/`` back.
+  lazily and folds it by host bucket (``keyed_fold`` on
+  ``key_buckets(host, seen_buckets)``).  The fold for bucket ``b``
+  (``make_schedule_fold``) drops the keys of bucket ``b``'s seen runs
+  from the earlier rounds, runs the per-host step
+  (``make_host_processor``: intra-round dedup, robots checks and the
+  politeness schedule) over an in-bucket ``groupby(host)``, and writes
+  ``schedule/``, the deferred rows into ``frontier_next/`` and the
+  round's own seen run into ``seen/b=<b>/``.  Only the scheduled rows
+  are materialized;
+- the fetch execution runs ``fetch_convert_batch`` tasks that write
+  ``docs/``, ``chunks/`` and their pages' links into ``frontier_next/``.
+  Their host rows ``(host, ok, n, dsts)`` (``_host_tally``) are their
+  one channel to the driver: the round's failures, the circuit
+  breaker's streaks and the authority edges all come from them; no
+  round reads ``docs/`` back.
 
 The round's ``_MANIFEST.json`` is written after both executions, so a
 killed run resumes from the last complete round with per-partition
 lineage (north_rule: resumable with metrics); partial checkpoints of an
-interrupted round are discarded on re-entry.
+interrupted round, its seen runs included, are discarded on re-entry,
+so marking keys seen commits with the manifest.  A worker-mode crawl
+starts no actor.
 
 Scale notes (10^10-URL frontier):
 - frontier rows are metadata-sized; page payloads never cross a round
   boundary (docs/chunks are written, links are folded back to rows);
-- URL-seen is O(urls) but sharded + cuckoo-prefiltered (state/seen.py);
+- URL-seen is O(urls) on disk, split by host bucket and by round: a
+  bucket's fold reads only its own runs, one per earlier round, each
+  behind a cuckoo filter (state/seen.py); resume reads no key;
 - per-host budget caps each round's fetch volume, so a hot host defers
-  rather than stalls; its schedule group is not split across tasks
+  rather than stalls; its host group is not split across tasks
   (``make_host_processor`` says why).
 """
 
@@ -51,8 +58,8 @@ from ..state.authority import (authority_multipliers, local_pagerank_hosts,
 from ..state.politeness import (breaker_update, effective_budget,
                                 round_budget, schedule_group)
 from ..state.robots import LocalRobotsCache
-from ..state.seen import SeenProbe, create_seen_shards
-from ..stages.bucketing import tag_buckets_batch
+from ..state.seen import SeenRun, runs_contain
+from ..stages.bucketing import conform, keyed_fold
 from ..stages.convert import chunk_explode_batch, convert_row
 from .crawl_spec import discover_seed_frontier
 
@@ -232,21 +239,22 @@ def fetch_head_batch(batch: pa.Table, web_factory) -> pa.Table:
     ).append_column("content_length", pa.array(lengths, pa.int64()))
 
 
-def _write_part(tbl: pa.Table, out_dir: str, keys) -> None:
+def _write_part(tbl: pa.Table, out_dir: str, keys) -> str | None:
     """The engine's one writer: the task that makes ``tbl`` writes it as
     one zstd parquet part of ``out_dir``, named by the md5 of its
     batch's whole key column ``keys`` (``seen_key`` in the crawl,
-    ``seq`` in the batch verb).  A retried task overwrites its own file,
-    and two different batches never share a name.  An empty table
-    writes no file.  A failed round's partial parts are discarded with
-    the round on resume."""
+    ``seq`` in the batch verb), and returns the part's path.  A retried
+    task overwrites its own file, and two different batches never share
+    a name.  An empty table writes no file (None).  A failed round's
+    partial parts are discarded with the round on resume."""
     if tbl.num_rows == 0:
-        return
+        return None
     stem = hashlib.md5(
         "\n".join(map(str, keys.to_pylist())).encode()).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
-    pq.write_table(tbl, os.path.join(out_dir, f"part-{stem}.parquet"),
-                   compression="zstd")
+    path = os.path.join(out_dir, f"part-{stem}.parquet")
+    pq.write_table(tbl, path, compression="zstd")
+    return path
 
 
 def _chunk_rows(docs_tbl: pa.Table, chunk_size: int,
@@ -412,29 +420,16 @@ def crawl_convert_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def _group_to_arrow(df, schema: pa.Schema) -> pa.Table:
-    """Group-fn output → Arrow block with the fixed schema.  The
-    schedule stages return Arrow (not pandas) so string columns leave
-    the group fn Arrow-typed: pandas object-dtype blocks defeat Ray's
-    block-size estimator (``cannot call vectorize on size 0 inputs`` on
-    every empty group) and make block accounting inaccurate."""
-    return _conform(pa.Table.from_pandas(df, preserve_index=False), schema)
-
-
 def make_host_processor(robots_factory, budget: int,
                         round_seconds: float = 0.0,
                         open_hosts: frozenset | None = None,
                         host_boosts: dict | None = None):
-    """The per-host round step, the group function of the round's one
-    ``groupby(host)``: intra-round dedup (same seen_key ⟹ same host, so
-    a host group sees all its duplicates) → robots allow → politeness
-    schedule.  Returns the scheduled/deferred rows as an Arrow block.
-
-    The URL-seen filter is not in here: the round runs it as a
-    ``SeenProbe(mode="filter_unseen")`` map stage BEFORE the groupby
-    (reads are idempotent, so filtering before intra-round dedup is
-    equivalent), which batches the shard RPCs per block — probe calls
-    ∝ blocks × shards, not host groups × shards.
+    """The per-host round step, run by the schedule fold once per host
+    of its bucket: intra-round dedup (same seen_key ⟹ same host, so a
+    host group sees all its duplicates) → robots allow → politeness
+    schedule.  Takes the host's unseen frontier rows (pandas) and
+    returns them with ``scheduled`` and ``fetch_order``, or None when
+    none is left.
 
     A host group holds that host's whole unseen frontier, and a hot
     host is not split across tasks: politeness already bounds what a
@@ -442,28 +437,75 @@ def make_host_processor(robots_factory, budget: int,
     has shown a host group that one task cannot fold, and a map-side
     per-block top-budget pre-cut would defer a URL once for every block
     that found it, duplicating deferred rows."""
-    empty = _SCHEDULE_PA_SCHEMA.empty_table()
 
-    def process(df):
+    def host_step(df):
         if open_hosts and df["host"].iloc[0] in open_hosts:
             # circuit breaker open: the whole group defers untouched
             # (no dedup/robots work — it re-runs on re-entry)
-            return _group_to_arrow(schedule_group(df, 0),
-                                   _SCHEDULE_PA_SCHEMA)
+            return schedule_group(df, 0)
         df = (df.sort_values(["seq_no", "loc"], kind="mergesort")
               .drop_duplicates("seen_key", keep="first"))
-        if df.empty:
-            return empty
         host_rules = _robots_rules(robots_factory, df["host"].iloc[0])
-        keep = [host_rules.allows(u) for u in df["loc"]]
-        df = df[keep]
+        df = df[[host_rules.allows(u) for u in df["loc"]]]
         if df.empty:
-            return empty
+            return None
         boost = host_boosts.get(df["host"].iloc[0], 1) if host_boosts else 1
         host_budget = effective_budget(budget * boost, round_seconds,
                                        host_rules.crawl_delay)
-        return _group_to_arrow(schedule_group(df, host_budget),
-                               _SCHEDULE_PA_SCHEMA)
+        return schedule_group(df, host_budget)
+
+    return host_step
+
+
+def make_schedule_fold(out_dir: str, round_no: int, host_step):
+    """The round's schedule fold, one call per host bucket (the group
+    function of ``keyed_fold``; its operator is ``MapBatches(process)``).
+    For bucket ``b`` it
+
+    1. opens bucket ``b``'s seen runs of the earlier rounds
+       (``rounds/round=k/seen/b=<b>/``, k < ``round_no``);
+    2. drops their keys from the whole bucket, breaker-open hosts
+       included (``runs_contain``);
+    3. runs ``host_step`` over an in-bucket ``groupby(host)``;
+    4. writes the schedule part, the deferred rows into
+       ``frontier_next/`` and this round's run of the scheduled keys,
+       all through ``_write_part``, and returns the scheduled rows.
+
+    Writing the run marks its keys seen.  Every output is a function of
+    the bucket's rows and the earlier rounds' runs, and every part is
+    named by its keys, so a retried fold rewrites the same files."""
+    import pandas as pd
+
+    rdir = _round_dir(out_dir, round_no)
+
+    def process(rows: pa.Table) -> pa.Table:
+        run_dir = os.path.join("seen", f"b={rows.column('_b')[0].as_py()}")
+        runs = [SeenRun.open(path) for k in range(round_no)
+                for path in sorted(glob.glob(os.path.join(
+                    _round_dir(out_dir, k), run_dir, "*.parquet")))]
+        seen = runs_contain(
+            rows.column("seen_key").to_numpy(zero_copy_only=False), runs)
+        df = rows.filter(pa.array(~seen)).to_pandas()
+        frames = [f for f in (host_step(g) for _, g in
+                              df.groupby("host", sort=True))
+                  if f is not None]
+        batch = (conform(pa.Table.from_pandas(pd.concat(frames),
+                                              preserve_index=False),
+                         _SCHEDULE_PA_SCHEMA)
+                 if frames else _SCHEDULE_PA_SCHEMA.empty_table())
+        keys = batch.column("seen_key")
+        _write_part(batch, os.path.join(rdir, "schedule"), keys)
+        scheduled = batch.column("scheduled")
+        _write_part(batch.filter(pc.invert(scheduled)).select(FRONTIER_COLS),
+                    os.path.join(rdir, "frontier_next"), keys)
+        batch = batch.filter(scheduled)
+        if batch.num_rows:
+            run = SeenRun.build(
+                batch.column("seen_key").to_numpy(zero_copy_only=False))
+            run_tbl = run.table()
+            run.save_filter(_write_part(run_tbl, os.path.join(rdir, run_dir),
+                                        run_tbl.column("seen_key")))
+        return batch
 
     return process
 
@@ -583,38 +625,9 @@ def frontier_rows_to_table(rows: list[dict]) -> pa.Table:
         schema=_FRONTIER_PA_SCHEMA)
 
 
-def _conform(batch: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Cast a batch to a fixed schema (order + types).  Needed because
-    pandas ``map_groups`` blocks can infer null/object types per block
-    (e.g. an all-None lastmod column), which would break parquet append
-    and ``union`` schema matching."""
-    cols = {}
-    for fld in schema:
-        if fld.name in batch.column_names:
-            col = batch.column(fld.name)
-            cols[fld.name] = col.cast(fld.type) if col.type != fld.type else col
-        else:
-            cols[fld.name] = pa.nulls(batch.num_rows, fld.type)
-    return pa.table(cols, schema=schema)
-
-
 _SCHEDULE_PA_SCHEMA = pa.schema(
     list(_FRONTIER_PA_SCHEMA)
     + [pa.field("scheduled", pa.bool_()), pa.field("fetch_order", pa.int64())])
-
-
-def write_schedule_batch(batch: pa.Table, rdir: str) -> pa.Table:
-    """The last stage of a round's schedule execution, one call per
-    block of host groups (``batch_size=None``): writes the block's
-    schedule part and its deferred rows into ``frontier_next/`` of the
-    round directory ``rdir``, and passes on only the scheduled rows."""
-    batch = _conform(batch, _SCHEDULE_PA_SCHEMA)
-    keys = batch.column("seen_key")
-    _write_part(batch, os.path.join(rdir, "schedule"), keys)
-    scheduled = batch.column("scheduled")
-    _write_part(batch.filter(pc.invert(scheduled)).select(FRONTIER_COLS),
-                os.path.join(rdir, "frontier_next"), keys)
-    return batch.filter(scheduled)
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +648,26 @@ def _round_dir(out_dir: str, round_no: int) -> str:
     return os.path.join(out_dir, "rounds", f"round={round_no}")
 
 
-def _read_frontier(path: str):
-    """Lazy read_parquet that tolerates an empty checkpoint directory.
-    No hive partitioning: the ``round=N`` directory above the checkpoint
-    must not come back as an extra ``round`` column."""
+def _read_parts(files: list[str], **kwargs):
+    """Lazy read of checkpoint parts, one block per part.  Every part
+    holds rows, so no block is empty: Ray Data's default read splits a
+    few small files into more blocks than they have rows, and the next
+    map stage emits an empty block column-less."""
     import ray.data as rd
 
-    if not glob.glob(os.path.join(path, "*.parquet")):
+    return rd.read_parquet(files, override_num_blocks=len(files), **kwargs)
+
+
+def _read_frontier(path: str):
+    """Lazy read that tolerates an empty checkpoint directory.  No hive
+    partitioning: the ``round=N`` directory above the checkpoint must
+    not come back as an extra ``round`` column."""
+    import ray.data as rd
+
+    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+    if not files:
         return rd.from_arrow(frontier_rows_to_table([]))
-    return rd.read_parquet(path, partitioning=None)
+    return _read_parts(files, partitioning=None)
 
 
 def _parquet_rows(path: str) -> int:
@@ -696,15 +720,15 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
                   freshness_priority: bool = False,
                   resume: bool = False) -> CrawlResult:
     """Run the BSP crawl.  Ray must already be initialised by the caller
-    (entry points, benchmarks and tests own the session).  The crawl's
-    state actors — the URL-seen shards, and the robots shards in actor
-    mode — live exactly as long as this call: they are killed when it
-    returns or raises, not left for the garbage collector."""
+    (entry points, benchmarks and tests own the session).  A fresh crawl
+    (``resume`` False) starts from an empty ``out_dir/rounds``.  The
+    URL-seen set lives in the rounds' seen runs, so a worker-mode crawl
+    starts no actor; in actor mode the robots shards live exactly as
+    long as this call: they are killed when it returns or raises, not
+    left for the garbage collector."""
     import ray
 
     cfg = cfg or EngineConfig()
-    shards = create_seen_shards(cfg.seen_shards, cfg.seen_capacity_per_shard,
-                                cfg.seed)
     robots_shards: list = []
     try:
         if cfg.robots_cache == "actor":
@@ -723,10 +747,10 @@ def run_crawl_ray(web_factory, seed_urls: list[str],
                        include_patterns=include_patterns,
                        exclude_patterns=exclude_patterns, limit=limit,
                        freshness_priority=freshness_priority)
-        return _crawl_rounds(web_factory, seed_urls, out_dir, cfg, shards,
+        return _crawl_rounds(web_factory, seed_urls, out_dir, cfg,
                              robots_factory, filters, resume)
     finally:
-        for actor in shards + robots_shards:
+        for actor in robots_shards:
             ray.kill(actor)
 
 
@@ -736,11 +760,21 @@ def _since(t0: float) -> float:
     return round(time.perf_counter() - t0, 3)
 
 
+def _nonempty_blocks(ds):
+    """``ds`` without its empty blocks (a seed that discovers nothing
+    leaves one): Ray Data emits an empty block column-less from the
+    next map stage."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs([
+        ref for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks if meta.num_rows])
+
+
 def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
-                  cfg: EngineConfig, shards, robots_factory, filters: dict,
+                  cfg: EngineConfig, robots_factory, filters: dict,
                   resume: bool) -> CrawlResult:
-    """Discovery (or resume) and the BSP rounds of ``run_crawl_ray``,
-    over state actors the caller owns."""
+    """Discovery (or resume) and the BSP rounds of ``run_crawl_ray``."""
     import shutil
 
     import ray
@@ -752,7 +786,15 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     result = CrawlResult(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    start_round = _restore(out_dir, shards, result) if resume else 0
+    # the seen runs' host buckets: fixed for the crawl's life, so a
+    # resume keeps the count its rounds recorded
+    n_buckets = cfg.seen_shards
+    start_round = 0
+    if resume:
+        start_round, n_buckets = _restore(out_dir, result, n_buckets)
+    else:
+        # an earlier crawl's rounds (and seen runs) must not leak in
+        shutil.rmtree(os.path.join(out_dir, "rounds"), ignore_errors=True)
 
     # circuit-breaker state: host → [streak, open_until].  Bounded by
     # the number of CURRENTLY-failing hosts (all-ok hosts are pruned
@@ -799,14 +841,9 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                            robots_factory=robots_factory, **filters)
         ).materialize()  # frontier rows are metadata-sized
         n_frontier = frontier.count()
+        if n_frontier:
+            frontier = _nonempty_blocks(frontier)
     result.t_discovery = _since(t0)
-
-    # wait for the seen shards' process start-up once, here, so it
-    # overlaps discovery instead of landing in the first round's
-    # schedule phase; recorded in that round's manifest
-    t0 = time.perf_counter()
-    ray.get([s.size.remote() for s in shards])
-    actors_start = _since(t0)
 
     for round_no in range(start_round, cfg.max_rounds):
         if n_frontier == 0:
@@ -819,18 +856,11 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             shutil.rmtree(rdir)
         os.makedirs(rdir, exist_ok=True)
         next_dir = os.path.join(rdir, "frontier_next")
-        timings: dict[str, float] = (
-            {"actors_start": actors_start} if round_no == start_round
-            else {})
+        timings: dict[str, float] = {}
 
-        # the schedule execution: seen-filter, then dedup + robots +
-        # schedule around ONE groupby(host), then the writing stage.
-        # The URL-seen probe runs as a map_batches stage BEFORE the
-        # groupby: reads are idempotent, so filtering pre-dedup is
-        # equivalent, and the shard RPC count is ∝ blocks × shards
-        # instead of host groups × shards (a 10^5-host round would
-        # otherwise make 10^5 synchronous probe fan-outs from inside the
-        # group fns)
+        # the schedule execution: one fold per host bucket drops the
+        # seen keys, runs dedup + robots + schedule per host and writes
+        # the round's parts and seen runs (make_schedule_fold)
         open_hosts = frozenset(
             h for h, (streak, ou) in breaker.items() if ou > round_no)
         host_boosts: dict = {}
@@ -839,28 +869,24 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                 local_pagerank_hosts(host_edges, cfg.authority_iters),
                 cfg.authority_boost)
         t0 = time.perf_counter()
-        scheduled = frontier.map_batches(
-            SeenProbe(shards, mode="filter_unseen"), batch_format="pyarrow"
-        ).groupby("host").map_groups(
-            make_host_processor(robots_factory, budget, cfg.round_seconds,
-                                open_hosts=open_hosts,
-                                host_boosts=host_boosts),
-            batch_format="pandas"
-        ).map_batches(write_schedule_batch, batch_format="pyarrow",
-                      batch_size=None, fn_kwargs=dict(rdir=rdir)
-                      ).materialize()
+        scheduled = keyed_fold(
+            frontier, "host",
+            make_schedule_fold(out_dir, round_no, make_host_processor(
+                robots_factory, budget, cfg.round_seconds,
+                open_hosts=open_hosts, host_boosts=host_boosts)),
+            n_buckets=n_buckets, schema=_SCHEDULE_PA_SCHEMA).materialize()
         n_scheduled = scheduled.count()
         n_deferred = _parquet_rows(next_dir)  # only deferred rows so far
         timings["schedule"] = _since(t0)
 
-        # the fetch execution: mark seen + fetch + convert + write.  A
-        # round with nothing scheduled has rows left only when every
-        # pending host is breaker-open (every other host group schedules
-        # at least one row): it sits out, and its deferred rows carry
-        # over (the oracle keeps advancing rounds the same way)
+        # the fetch execution: fetch + convert + write.  A round with
+        # nothing scheduled has rows left only when every pending host
+        # is breaker-open (every other host group schedules at least one
+        # row): it sits out, and its deferred rows carry over (the
+        # oracle keeps advancing rounds the same way)
         failed = 0
         if n_scheduled:
-            # repartition first: schedule blocks mirror host groups,
+            # repartition first: schedule blocks mirror host buckets,
             # which can leave the fetch chain with too few blocks to
             # parallelize
             n_blocks = max(1, min(n_scheduled // cfg.fetch_batch_size + 1,
@@ -868,9 +894,6 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             breaker_on = cfg.breaker_threshold > 0
             t0 = time.perf_counter()
             tallies = (scheduled.repartition(n_blocks)
-                       .map_batches(SeenProbe(shards, mode="mark",
-                                              round_no=round_no),
-                                    batch_format="pyarrow")
                        .map_batches(
                            fetch_convert_batch, batch_format="pyarrow",
                            batch_size=cfg.fetch_batch_size,
@@ -888,12 +911,10 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             if breaker_on:
                 # one row per host and batch: fold them per host bucket
                 # before they reach the driver
-                tallies = (tallies.map_batches(
-                    tag_buckets_batch, batch_format="pyarrow",
-                    fn_kwargs=dict(key_col="host", n_buckets=32))
-                    .groupby("_b").map_groups(
-                        _fold_hosts, batch_format="pyarrow",
-                        fn_kwargs=dict(keep_hosts=frozenset(breaker))))
+                tallies = keyed_fold(
+                    tallies, "host", _fold_hosts, n_buckets=n_buckets,
+                    schema=_HOST_ROWS_SCHEMA,
+                    fn_kwargs=dict(keep_hosts=frozenset(breaker)))
             host_rows = tallies.take_all()
             timings["fetch_convert"] = _since(t0)
             # the schedule dropped seen and duplicate keys, so every
@@ -915,7 +936,7 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
         entry = {
             "round": round_no, "scheduled": n_scheduled,
             "fetched": n_scheduled - failed, "failed": failed,
-            "deferred": n_deferred,
+            "deferred": n_deferred, "seen_buckets": n_buckets,
             "timings": timings,
         }
         result.manifest.append(entry)
@@ -934,46 +955,18 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     return result
 
 
-class _RestorePush:
-    """``map_batches`` stage for the resume path: each batch pushes its
-    seen-keys to the owning shard actors from INSIDE the map task, so
-    the driver never holds more than block metadata — O(batch) keys per
-    task instead of an O(all-scheduled-URLs) driver list.  Restore is
-    idempotent per shard (``_SeenCore.restore`` skips known keys), so
-    Ray task retries are safe."""
-
-    def __init__(self, shards):
-        self.shards = shards
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        from ..state.seen import shard_of
-
-        keys = batch.column("seen_key").to_pylist()
-        by_shard: dict[int, list[str]] = {}
-        for key in keys:
-            by_shard.setdefault(shard_of(key, len(self.shards)), []).append(key)
-        ray.get([self.shards[s].restore.remote(ks)
-                 for s, ks in by_shard.items()])
-        return pa.table({"n": pa.array([len(keys)], pa.int64())})
-
-
-def _restore(out_dir: str, shards, result: CrawlResult) -> int:
-    """Resume support: restore seen-set from completed rounds' schedule
-    checkpoints and return the next round number.  The key push is a
-    streaming ``map_batches`` pass over ALL completed rounds' schedule
-    files at once — keys travel storage → map task → shard actor without
-    a driver materialization."""
+def _restore(out_dir: str, result: CrawlResult,
+             n_buckets: int) -> tuple[int, int]:
+    """Resume support: re-read the completed rounds' manifests into
+    ``result`` and return the next round number and the seen runs'
+    bucket count those rounds recorded (``n_buckets`` when none did).
+    The seen set needs no restore: it is the completed rounds' runs."""
     import shutil
 
-    import ray.data as rd
-
     round_no = 0
-    schedule_files: list[str] = []
     while True:
-        rdir = _round_dir(out_dir, round_no)
-        manifest = os.path.join(rdir, "_MANIFEST.json")
+        manifest = os.path.join(_round_dir(out_dir, round_no),
+                                "_MANIFEST.json")
         if not os.path.exists(manifest):
             break
         with open(manifest) as f:
@@ -982,26 +975,18 @@ def _restore(out_dir: str, shards, result: CrawlResult) -> int:
         result.fetched += entry["fetched"]
         result.failed += entry["failed"]
         result.rounds = round_no + 1
-        # empty-schedule rounds write zero files
-        schedule_files.extend(glob.glob(
-            os.path.join(rdir, "schedule", "*.parquet")))
+        n_buckets = entry.get("seen_buckets", n_buckets)
         round_no += 1
 
-    if schedule_files:
-        # consuming the count forces every push before scheduling resumes
-        (rd.read_parquet(schedule_files, columns=["seen_key", "scheduled"])
-         .filter(expr="scheduled == True")
-         .map_batches(_RestorePush(shards), batch_format="pyarrow")
-         .count())
-
     # drop any manifest-less (partial) round dirs beyond the last
-    # complete round so they can't pollute read_crawl_order even if the
-    # resumed frontier drains before reaching them
+    # complete round, their seen runs included, so they can't pollute
+    # read_crawl_order even if the resumed frontier drains before
+    # reaching them
     for stale in glob.glob(os.path.join(out_dir, "rounds", "round=*")):
         if (int(stale.rsplit("=", 1)[1]) >= round_no
                 and not os.path.exists(os.path.join(stale, "_MANIFEST.json"))):
             shutil.rmtree(stale)
-    return round_no
+    return round_no, n_buckets
 
 
 def read_crawl_order(out_dir: str):
@@ -1067,6 +1052,28 @@ def read_host_edges(out_dir: str):
                          batch_format="pyarrow"))
 
 
+_HEALTH_SCHEMA = pa.schema(
+    [("host", pa.string())]
+    + [(c, pa.int64()) for c in ("n_scheduled", "n_deferred", "n_fetched",
+                                 "n_failed", "rounds_active")])
+
+
+def _fold_health(rows: pa.Table) -> pa.Table:
+    """``crawl_health``'s per-bucket fold of host partials: sums, and
+    ``rounds_active`` as the distinct rounds with a fetch."""
+    g = rows.to_pandas()
+    agg = (g.groupby("host", sort=False)
+           .agg({"n_scheduled": "sum", "n_deferred": "sum",
+                 "n_fetched": "sum", "n_failed": "sum"})
+           .reset_index())
+    docs = g[g["_round"] >= 0]
+    ra = (docs.groupby("host", sort=False)["_round"].nunique()
+          .rename("rounds_active").reset_index())
+    out = agg.merge(ra, on="host", how="left")
+    out["rounds_active"] = out["rounds_active"].fillna(0).astype("int64")
+    return pa.Table.from_pandas(out, preserve_index=False)
+
+
 def crawl_health(out_dir: str):
     """Per-host crawl health panel from the round checkpoints: how
     many fetches each host got, how many failed, how much of its
@@ -1084,25 +1091,19 @@ def crawl_health(out_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..stages.bucketing import key_buckets
-
-    sched_dirs, docs_dirs = [], []
+    sched_files, docs_files = [], []
     for rdir in sorted(glob.glob(os.path.join(out_dir, "rounds",
                                               "round=*"))):
         if not os.path.exists(os.path.join(rdir, "_MANIFEST.json")):
             continue
-        s = os.path.join(rdir, "schedule")
-        d = os.path.join(rdir, "docs")
-        if os.path.isdir(s):
-            sched_dirs.extend(
-                sorted(glob.glob(os.path.join(s, "*.parquet"))))
-        if os.path.isdir(d) and glob.glob(os.path.join(d, "*.parquet")):
-            docs_dirs.append(
-                (int(rdir.rsplit("=", 1)[1]), d))
+        sched_files.extend(
+            sorted(glob.glob(os.path.join(rdir, "schedule", "*.parquet"))))
+        docs = sorted(glob.glob(os.path.join(rdir, "docs", "*.parquet")))
+        if docs:
+            docs_files.append((int(rdir.rsplit("=", 1)[1]), docs))
 
-    cols = ["host", "n_scheduled", "n_deferred", "n_fetched",
-            "n_failed", "rounds_active"]
-    if not sched_dirs:
+    cols = _HEALTH_SCHEMA.names
+    if not sched_files:
         return pd.DataFrame(columns=cols)
 
     def sched_partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1130,38 +1131,22 @@ def crawl_health(out_dir: str):
             "n_failed": (g["n"] - g["n_ok"]).astype("int64"),
             "_round": np.int64(round_no)})
 
-    parts = rd.read_parquet(
-        sched_dirs, columns=["host", "scheduled"]).map_batches(
+    parts = _read_parts(
+        sched_files, columns=["host", "scheduled"]).map_batches(
         sched_partial, batch_format="pandas")
     # rounds_active = distinct rounds with a fetch: partials carry the
     # round number and the fold counts distincts (a round's docs can
     # arrive as many batches — a per-batch flag would over-count)
-    doc_parts = [rd.read_parquet(d, columns=["host", "status"])
+    doc_parts = [_read_parts(files, columns=["host", "status"])
                  .map_batches(docs_partial, batch_format="pandas",
                               fn_kwargs=dict(round_no=rn))
-                 for rn, d in docs_dirs]
+                 for rn, files in docs_files]
 
     union = parts
     for dp in doc_parts:
         union = union.union(dp)
 
-    def fold(g: "pd.DataFrame") -> "pd.DataFrame":
-        agg = (g.groupby("host", sort=False)
-               .agg({"n_scheduled": "sum", "n_deferred": "sum",
-                     "n_fetched": "sum", "n_failed": "sum"})
-               .reset_index())
-        docs = g[g["_round"] >= 0]
-        ra = (docs.groupby("host", sort=False)["_round"].nunique()
-              .rename("rounds_active").reset_index())
-        out = agg.merge(ra, on="host", how="left")
-        out["rounds_active"] = (out["rounds_active"].fillna(0)
-                                .astype("int64"))
-        return out.astype({c: "int64" for c in cols[1:]})
-
-    tagged = union.map_batches(
-        lambda df: df.assign(_b=key_buckets(df["host"].to_numpy(), 32)),
-        batch_format="pandas")
-    panel = (tagged.groupby("_b").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    panel = keyed_fold(union, "host", _fold_health, n_buckets=32,
+                       schema=_HEALTH_SCHEMA).to_pandas()
     return (panel[cols].sort_values("host", kind="mergesort")
             .reset_index(drop=True))

@@ -1,35 +1,52 @@
-"""URL-seen set: cuckoo-filter shard actors with exact confirmation.
+"""URL-seen set: a cuckoo filter with exact confirmation.
 
 The reference's "seen" state is an exact in-process dict/set (request
 cache ``core/cache.py``, ``processed_sitemaps`` set).  At 10^10-URL
 scale an exact set per node is impossible, so the rebuild uses the
 standard two-tier design (cf. PAPERS.md cuckoo-filter line):
 
-- a **cuckoo filter** (4-slot buckets, 16-bit fingerprints, ~98%+ load
-  capacity, no false negatives) answers "definitely new" in O(1);
-- cuckoo *positives* are confirmed against an **exact per-shard store**
-  so the semantics stay exactly-once (the reference's crawl-order /
-  URL-seen equality gate demands exactness; the filter only exists to
-  make the common "new URL" path cheap and the exact store append-only
-  / spillable).
+- a **cuckoo filter** (4-slot buckets, 16-bit fingerprints, no false
+  negatives) answers "definitely new" cheaply;
+- cuckoo *positives* are confirmed against the exact keys, so the
+  semantics stay exactly-once (the reference's crawl-order / URL-seen
+  equality gate demands exactness; the filter only exists to make the
+  common "new URL" path cheap).
 
-Shards are addressed by ``crc32(key) % num_shards``; each shard is a
-Ray actor (``SeenShard``) created via ``create_seen_shards``.  The
-``LocalSeen`` variant backs the single-process oracle and unit tests.
-Shards checkpoint their exact store per crawl round for resume.
+The crawl keeps the set on disk, co-partitioned with its schedule by
+host hash (SURVEY.md §4.1): a ``seen_key`` determines its host, so a
+host bucket owns its keys.  A round's schedule fold for host bucket
+``b`` opens bucket ``b``'s ``SeenRun``s of the earlier rounds — each the
+sorted ``seen_key`` column of the keys one round scheduled in the
+bucket, with the cuckoo filter built over them saved next to it — drops
+the keys they hold (``runs_contain``), and writes this round's run.
+Writing the run is what marks its keys seen; a retried fold writes the
+same run again, so retries need no per-key round ledger.
+
+``LocalSeen`` is the same filter over an in-memory exact store with a
+per-key round ledger: the sequential oracle's model and the unit
+tests'.
 """
 
 from __future__ import annotations
 
-import zlib
+import os
 
 import numpy as np
+import pandas as pd
 
 _MAX_KICKS = 500
+# odd multiplier spreading a fingerprint over the bucket index bits for
+# the alternate bucket (partial-key cuckoo hashing)
+_ALT_MIX = 0x5BD1E995
 
 
 class CuckooFilter:
-    """Partial-key cuckoo filter over string keys (numpy storage)."""
+    """Partial-key cuckoo filter over string keys (numpy storage).  A
+    key column is hashed once with ``pd.util.hash_array`` (a fixed
+    siphash key, so every worker process agrees — the guarantee
+    ``bucketing.key_buckets`` relies on); fingerprint, index and
+    alt-index are array ops on the hashes.  The bucket count is a power
+    of two, so the alt-index is an involution."""
 
     def __init__(self, capacity: int, seed: int = 42):
         n_buckets = 1
@@ -40,27 +57,35 @@ class CuckooFilter:
         self.rng = np.random.RandomState(seed)
         self.count = 0
 
-    def _fingerprint_and_index(self, key: str) -> tuple[int, int]:
-        h = zlib.crc32(key.encode())
-        h2 = zlib.crc32(key.encode(), 0x9E3779B9)
-        fp = (h2 & 0xFFFF) or 1
-        return fp, h % self.n_buckets
+    def locate(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fingerprint, index, alt-index) arrays of a key column."""
+        h = pd.util.hash_array(np.asarray(keys, dtype=object),
+                               categorize=False)
+        fp = (h >> np.uint64(48)).astype(np.uint16)
+        fp[fp == 0] = 1
+        index = (h & np.uint64(self.n_buckets - 1)).astype(np.int64)
+        return fp, index, self._alt(index, fp)
 
-    def _alt_index(self, index: int, fp: int) -> int:
-        return (index ^ zlib.crc32(bytes([fp & 0xFF, fp >> 8]))) % self.n_buckets
+    def _alt(self, index, fp):
+        return (index ^ (np.asarray(fp, np.int64) * _ALT_MIX)) & (
+            self.n_buckets - 1)
+
+    def contains_many(self, keys) -> np.ndarray:
+        """Boolean mask: True where a key's fingerprint is stored (a
+        false positive is possible, a false negative is not)."""
+        fp, i1, i2 = self.locate(keys)
+        col = fp[:, None]
+        return ((self.slots[i1] == col).any(axis=1)
+                | (self.slots[i2] == col).any(axis=1))
 
     def contains(self, key: str) -> bool:
-        fp, i1 = self._fingerprint_and_index(key)
-        if fp in self.slots[i1]:
-            return True
-        i2 = self._alt_index(i1, fp)
-        return fp in self.slots[i2]
+        return bool(self.contains_many([key])[0])
 
-    def add(self, key: str) -> bool:
-        """Insert; False if the filter is saturated (caller must treat
-        the key as seen-unknown and fall back to the exact store)."""
-        fp, i1 = self._fingerprint_and_index(key)
-        i2 = self._alt_index(i1, fp)
+    def _has(self, fp: int, i1: int, i2: int) -> bool:
+        return bool((self.slots[i1] == fp).any()
+                    or (self.slots[i2] == fp).any())
+
+    def _insert(self, fp: int, i1: int, i2: int) -> bool:
         for idx in (i1, i2):
             bucket = self.slots[idx]
             empty = np.flatnonzero(bucket == 0)
@@ -73,7 +98,7 @@ class CuckooFilter:
         for _ in range(_MAX_KICKS):
             slot = self.rng.randint(4)
             fp, self.slots[idx][slot] = int(self.slots[idx][slot]), fp
-            idx = self._alt_index(idx, fp)
+            idx = int(self._alt(idx, fp))
             bucket = self.slots[idx]
             empty = np.flatnonzero(bucket == 0)
             if empty.size:
@@ -82,14 +107,26 @@ class CuckooFilter:
                 return True
         return False
 
+    def add(self, key: str) -> bool:
+        """Insert; False if the filter is saturated (caller must treat
+        the key as seen-unknown and fall back to the exact store)."""
+        return self.add_many([key])
+
+    def add_many(self, keys) -> bool:
+        """Insert every key; False as soon as one does not fit (the
+        filter is then saturated and must not be trusted)."""
+        fp, i1, i2 = self.locate(keys)
+        return all(self._insert(int(f), int(a), int(b))
+                   for f, a, b in zip(fp, i1, i2))
+
     def delete(self, key: str) -> bool:
         """Remove ONE stored copy of the key's fingerprint (cuckoo
         filters support deletion of previously-inserted keys).  Safe
         against false negatives because ``add`` stores one copy per
         insert: two distinct keys colliding on (fingerprint, bucket)
         hold two copies, and deleting one leaves the other's intact."""
-        fp, i1 = self._fingerprint_and_index(key)
-        for idx in (i1, self._alt_index(i1, fp)):
+        fp, i1, i2 = (int(a[0]) for a in self.locate([key]))
+        for idx in (i1, i2):
             bucket = self.slots[idx]
             hits = np.flatnonzero(bucket == fp)
             if hits.size:
@@ -102,61 +139,146 @@ class CuckooFilter:
     def load_factor(self) -> float:
         return self.count / (self.n_buckets * 4)
 
+    def to_bytes(self) -> bytes:
+        return self.slots.tobytes()
 
-class _SeenCore:
-    """Filter + exact confirmation; the logic both the actor and the
-    local variant share.  The exact store maps key → the round that
-    marked it, making per-round marking IDEMPOTENT: Ray may re-execute
-    a mark→fetch→write task chain after a worker failure, and the
-    retried batch must see "new" again for keys it itself marked
-    (intra-round dedup guarantees a key lives in exactly one batch per
-    round, so a same-round re-mark can only be a retry)."""
+    @classmethod
+    def from_bytes(cls, buf: bytes) -> "CuckooFilter":
+        slots = np.frombuffer(buf, dtype=np.uint16).reshape(-1, 4).copy()
+        filt = cls(slots.size)
+        filt.slots = slots
+        filt.count = int(np.count_nonzero(slots))
+        return filt
+
+
+class SeenRun:
+    """One round's seen run for one host bucket: the sorted unique
+    ``seen_key``s the round scheduled in the bucket, and the cuckoo
+    filter built over them (None when it saturated: every probe then
+    goes to the keys).  On disk the keys are a parquet part and the
+    filter the raw slots in a ``.cuckoo`` file next to it; ``open``
+    reads only the filter, and the keys on the first filter positive."""
+
+    def __init__(self, keys=None, filt: CuckooFilter | None = None,
+                 path: str | None = None):
+        self._keys = keys
+        self.filter = filt
+        self.path = path
+
+    @classmethod
+    def build(cls, keys, capacity: int | None = None) -> "SeenRun":
+        """The run of ``keys``; its filter holds ``capacity`` keys
+        (default: 1.25× the distinct keys, a 40–80% load)."""
+        keys = np.unique(np.asarray(keys, dtype=str))
+        filt = CuckooFilter(capacity or len(keys) + len(keys) // 4 + 1)
+        return cls(keys, filt if filt.add_many(keys) else None)
+
+    @classmethod
+    def open(cls, path: str) -> "SeenRun":
+        side = _filter_path(path)
+        filt = None
+        if os.path.exists(side):
+            with open(side, "rb") as f:
+                filt = CuckooFilter.from_bytes(f.read())
+        return cls(None, filt, path)
+
+    def table(self):
+        import pyarrow as pa
+
+        return pa.table({"seen_key": pa.array(self.keys(), pa.string())})
+
+    def save_filter(self, path: str) -> None:
+        """Save the filter next to the run's part at ``path`` (no file
+        for a saturated filter)."""
+        if self.filter is not None:
+            with open(_filter_path(path), "wb") as f:
+                f.write(self.filter.to_bytes())
+
+    def keys(self) -> np.ndarray:
+        if self._keys is None:
+            import pyarrow.parquet as pq
+
+            self._keys = (pq.read_table(self.path, columns=["seen_key"])
+                          .column(0).to_numpy(zero_copy_only=False)
+                          .astype(str))
+        return self._keys
+
+    def contains_many(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask, exact: a filter negative is new; a filter
+        positive is settled by ``searchsorted`` in the sorted keys."""
+        hit = (self.filter.contains_many(keys) if self.filter is not None
+               else np.ones(len(keys), dtype=bool))
+        if hit.any():
+            run = self.keys()
+            probe = np.asarray(keys, dtype=str)[hit]
+            pos = np.minimum(np.searchsorted(run, probe), len(run) - 1)
+            hit[hit] = run[pos] == probe
+        return hit
+
+
+def _filter_path(part_path: str) -> str:
+    return os.path.splitext(part_path)[0] + ".cuckoo"
+
+
+def runs_contain(keys: np.ndarray, runs: list[SeenRun]) -> np.ndarray:
+    """Boolean mask: True where a key is in any of ``runs``."""
+    seen = np.zeros(len(keys), dtype=bool)
+    for run in runs:
+        rest = ~seen
+        if not rest.any():
+            break
+        seen[rest] = run.contains_many(keys[rest])
+    return seen
+
+
+class LocalSeen:
+    """In-process seen set: the filter plus an exact store mapping key
+    → the round that marked it, making per-round marking IDEMPOTENT (a
+    same-round re-mark can only be a retry, since intra-round dedup puts
+    a key in exactly one batch per round)."""
 
     def __init__(self, capacity: int = 1 << 20, seed: int = 42):
         self.filter = CuckooFilter(capacity, seed)
         self.exact: dict[str, int] = {}
         self.filter_ok = True
-        # RPC accounting: one increment per contains_many/check_and_add
-        # CALL (not per key) — lets tests assert the probe fan-out is
-        # ∝ blocks × shards, never ∝ host groups × shards
-        self.n_probe_calls = 0
-        self.n_mark_calls = 0
-
-    def _mark(self, key: str, round_no: int) -> None:
-        self.exact[key] = round_no
-        if self.filter_ok and not self.filter.add(key):
-            self.filter_ok = False  # saturated: exact-only from here
 
     def check_and_add(self, keys: list[str], round_no: int = -1) -> list[bool]:
         """For each key: True iff it was NOT seen before (and mark it
         seen), OR it was marked in this same ``round_no`` (>= 0) — the
         task-retry idempotence case.  Exactly-once across rounds."""
-        self.n_mark_calls += 1
+        if len(keys) == 0:
+            return []
+        located = zip(*self.filter.locate(keys))
         out = []
-        for key in keys:
-            if self.filter_ok and not self.filter.contains(key):
+        for key, (fp, i1, i2) in zip(keys, located):
+            loc = (int(fp), int(i1), int(i2))
+            if self.filter_ok and not self.filter._has(*loc):
                 # guaranteed-new fast path
-                self._mark(key, round_no)
+                self._mark(key, round_no, loc)
+                out.append(True)
+                continue
+            # filter positive (or saturated) → exact confirmation
+            marked = self.exact.get(key)
+            if marked is None:
+                self._mark(key, round_no, loc)
                 out.append(True)
             else:
-                # filter positive (or saturated) → exact confirmation
-                marked = self.exact.get(key)
-                if marked is None:
-                    self._mark(key, round_no)
-                    out.append(True)
-                else:
-                    out.append(round_no >= 0 and marked == round_no)
+                out.append(round_no >= 0 and marked == round_no)
         return out
 
+    def _mark(self, key: str, round_no: int, loc) -> None:
+        self.exact[key] = round_no
+        if self.filter_ok and not self.filter._insert(*loc):
+            self.filter_ok = False  # saturated: exact-only from here
+
     def contains_many(self, keys: list[str]) -> list[bool]:
-        self.n_probe_calls += 1
-        out = []
-        for key in keys:
-            if self.filter_ok and not self.filter.contains(key):
-                out.append(False)  # cuckoo negative is a true negative
-            else:
-                out.append(key in self.exact)
-        return out
+        if len(keys) == 0:
+            return []
+        hits = (self.filter.contains_many(keys) if self.filter_ok
+                else np.ones(len(keys), dtype=bool))
+        # a cuckoo negative is a true negative
+        return [bool(hit) and key in self.exact
+                for key, hit in zip(keys, hits)]
 
     def snapshot(self) -> list[str]:
         return sorted(self.exact)
@@ -164,9 +286,7 @@ class _SeenCore:
     def restore(self, keys: list[str]) -> None:
         """Re-register keys from completed rounds (round -1: can never
         be a retry target)."""
-        for key in keys:
-            if key not in self.exact:
-                self._mark(key, -1)
+        self.check_and_add(keys, round_no=-1)
 
     def expire_before(self, round_cutoff: int) -> int:
         """Recrawl/freshness support: forget every key marked in a
@@ -188,83 +308,3 @@ class _SeenCore:
 
     def size(self) -> int:
         return len(self.exact)
-
-    def rpc_stats(self) -> dict:
-        return {"probe_calls": self.n_probe_calls,
-                "mark_calls": self.n_mark_calls}
-
-
-class LocalSeen(_SeenCore):
-    """In-process seen-set (oracle / tests)."""
-
-
-def create_seen_shards(num_shards: int, capacity_per_shard: int = 1 << 20,
-                       seed: int = 42):
-    """Create the shard actor pool.  Import-time Ray dependency is kept
-    out of module scope so kernels stay importable without Ray."""
-    import ray
-
-    # num_cpus=0: lightweight bookkeeping actors must never reserve
-    # CPUs, or (shards × 0.1) + a fetch pool sized to (cpus - 2) can
-    # leave no schedulable CPU for map tasks → pipeline deadlock
-    @ray.remote(num_cpus=0)
-    class SeenShard(_SeenCore):
-        pass
-
-    return [SeenShard.remote(capacity_per_shard, seed + i)
-            for i in range(num_shards)]
-
-
-def shard_of(key: str, num_shards: int) -> int:
-    return zlib.crc32(key.encode()) % num_shards
-
-
-class SeenProbe:
-    """``map_batches`` stage over the shard actors.
-
-    mode="mark": drop rows whose key was already seen AND mark the
-    survivors seen (exactly-once across rounds; idempotent within
-    ``round_no`` so Ray task retries don't drop rows) — used on the
-    scheduled set.
-    mode="filter_unseen": drop seen rows WITHOUT marking — used on
-    round candidates before scheduling (deferred rows must stay
-    fetchable next round).
-
-    Groups each batch's keys by shard and issues one actor call per
-    shard."""
-
-    def __init__(self, shards, key_col: str = "seen_key", mode: str = "mark",
-                 round_no: int = -1):
-        assert mode in ("mark", "filter_unseen")
-        self.shards = shards
-        self.key_col = key_col
-        self.mode = mode
-        self.round_no = round_no
-
-    def __call__(self, batch):
-        import pyarrow as pa
-        import ray
-
-        keys = batch.column(self.key_col).to_pylist()
-        n = len(keys)
-        if n == 0:
-            return batch
-        num_shards = len(self.shards)
-        by_shard: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            by_shard.setdefault(shard_of(key, num_shards), []).append(i)
-        keep = np.zeros(n, dtype=bool)
-        refs, idx_lists = [], []
-        for shard_id, idxs in by_shard.items():
-            shard = self.shards[shard_id]
-            shard_keys = [keys[i] for i in idxs]
-            if self.mode == "mark":
-                refs.append(shard.check_and_add.remote(shard_keys,
-                                                       self.round_no))
-            else:
-                refs.append(shard.contains_many.remote(shard_keys))
-            idx_lists.append(idxs)
-        for ref, idxs in zip(refs, idx_lists):
-            for i, flag in zip(idxs, ray.get(ref)):
-                keep[i] = flag if self.mode == "mark" else not flag
-        return batch.filter(pa.array(keep))

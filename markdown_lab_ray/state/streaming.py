@@ -16,8 +16,8 @@ equals the one declarative ``argmax_(ts, event_id)`` over the clean
 input.  That equivalence is what lets the stateful path be verified by
 a stateless oracle.
 
-Scale shape: shard actors are the same pattern as the URL-seen tier
-(`state/seen.py`); a batch routes to shards by key hash, one
+Scale shape: keyed shard actors (the robots tier's pattern,
+`state/robots.py`); a batch routes to shards by key hash, one
 ``upsert_many`` call per shard per batch (vectorized inside), and the
 ledger is O(live keys + undropped event ids), bounded by the watermark
 horizon, never by stream length.
@@ -82,7 +82,7 @@ class _LedgeredShardState:
 
 def create_ingest_shards(n_shards: int):
     """The Ray actor tier (one line of state per shard; same layout as
-    ``create_seen_shards``)."""
+    ``create_robots_shards``)."""
     import ray
 
     Shard = ray.remote(_LedgeredShardState)

@@ -126,7 +126,7 @@ def render_config_lines(width: int = 80) -> list:
     from .config import EngineConfig
 
     try:
-        cfg = EngineConfig.from_env().validate().to_dict()
+        cfg = EngineConfig.from_env().to_dict()
     except ValueError as exc:  # env override out of range: show, don't die
         return [f"config error: {exc}"]
     return [f"{k} = {v}" for k, v in sorted(cfg.items())]

@@ -80,6 +80,25 @@ def test_config_rejects_non_positive_authority_edge_cap():
         {"authority_boost": 2, "authority_edge_cap": 1}).authority_edge_cap == 1
 
 
+def test_config_from_env_validates(monkeypatch):
+    """``from_env`` (the submit script's and the CLI's constructor)
+    rejects what ``from_dict`` and ``update`` reject, including a
+    ``seen_shards`` below 1 (it is the seen runs' bucket modulus)."""
+    from markdown_lab_ray.config import EngineConfig
+
+    monkeypatch.setenv("MARKDOWN_LAB_AUTHORITY_EDGE_CAP", "-5")
+    with pytest.raises(ValueError, match="authority_edge_cap"):
+        EngineConfig.from_env(authority_boost=2)
+    monkeypatch.delenv("MARKDOWN_LAB_AUTHORITY_EDGE_CAP")
+    monkeypatch.setenv("MARKDOWN_LAB_SEEN_SHARDS", "0")
+    with pytest.raises(ValueError, match="seen_shards"):
+        EngineConfig.from_env()
+    monkeypatch.setenv("MARKDOWN_LAB_SEEN_SHARDS", "3")
+    assert EngineConfig.from_env().seen_shards == 3
+    with pytest.raises(ValueError, match="seen_shards"):
+        EngineConfig().update(seen_shards=0)
+
+
 def test_config_file_env_flag_layering(tmp_path, monkeypatch):
     """CLI precedence contract: file < env < flags."""
     from markdown_lab_ray.config import EngineConfig

@@ -151,30 +151,6 @@ def test_resume_discards_partial_round(ray_session, tmp_path):
         read_crawl_order(part_dir).reset_index(drop=True))
 
 
-def test_probe_rpc_count_scales_with_shards_not_groups(ray_session):
-    """VERDICT r03 #6: the URL-seen probe runs pre-groupby per BLOCK, so
-    shard RPC count is bounded by blocks × shards — independent of the
-    number of host groups (200 hosts here, 4 blocks, 8 shards)."""
-    import ray
-    import ray.data as rd
-
-    from markdown_lab_ray.state.seen import SeenProbe, create_seen_shards
-
-    n_hosts, n_blocks, n_shards = 200, 4, 8
-    shards = create_seen_shards(n_shards, 1 << 12)
-    rows = [{"seen_key": f"https://h{i}.test/p", "host": f"h{i}.test"}
-            for i in range(n_hosts)]
-    ds = rd.from_items(rows).repartition(n_blocks)
-    out = ds.map_batches(SeenProbe(shards, mode="filter_unseen"),
-                         batch_format="pyarrow").materialize()
-    assert out.count() == n_hosts  # nothing seen yet → all pass
-    calls = sum(s["probe_calls"] for s in
-                ray.get([sh.rpc_stats.remote() for sh in shards]))
-    assert calls <= n_blocks * n_shards  # 32, not ∝ 200 host groups
-    for sh in shards:
-        ray.kill(sh)
-
-
 def test_robots_actor_cache_exactly_once_and_parity(ray_session, tmp_path):
     """robots_cache="actor" (north rule: robots.txt cache actors): the
     shard tier fetches each host's robots.txt exactly ONCE cluster-wide
@@ -329,15 +305,15 @@ def _alive_actor_ids(class_suffixes) -> set:
 
 
 def test_crawl_kills_its_state_actors(ray_session, tmp_path):
-    """``run_crawl_ray`` kills its seen shards and (actor mode) robots
-    shards when it returns and when it raises, without waiting for the
-    garbage collector (disabled while we look)."""
+    """``run_crawl_ray`` kills its (actor mode) robots shards when it
+    returns and when it raises, without waiting for the garbage
+    collector (disabled while we look)."""
     import gc
     import time
 
     from markdown_lab_ray.pipelines.crawl import run_crawl_ray
 
-    kinds = (".SeenShard", ".RobotsShard")
+    kinds = (".RobotsShard",)
     spec = SiteSpec(n_hosts=2, pages_per_host=4, n_images=8)
     cfg = EngineConfig(requests_per_second=0.1, round_seconds=60.0,
                        max_rounds=2, max_depth=1, seen_shards=2,
@@ -402,10 +378,7 @@ def test_crawl_chunks_only_ok_pages(ray_session, tmp_path):
 
 def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
     """A checkpointed frontier reads back with exactly FRONTIER_COLS: the
-    ``round=N`` directory above it is not a hive partition column.  The
-    first round's manifest records the seen shards' start-up wait."""
-    import json
-
+    ``round=N`` directory above it is not a hive partition column."""
     from markdown_lab_ray.pipelines.crawl import (FRONTIER_COLS,
                                                   _read_frontier,
                                                   run_crawl_ray)
@@ -415,16 +388,11 @@ def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
                        max_rounds=2, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
-    timings = []
     for round_no in (0, 1):
         rdir = f"{out}/rounds/round={round_no}"
         frontier = _read_frontier(f"{rdir}/frontier_next")
         assert frontier.count() > 0
         assert frontier.schema().names == FRONTIER_COLS
-        with open(f"{rdir}/_MANIFEST.json") as f:
-            timings.append(json.load(f)["timings"])
-    assert timings[0]["actors_start"] >= 0
-    assert "actors_start" not in timings[1]
 
 
 def _scheduled_batch(spec, n_hosts=2, n_pages=2):

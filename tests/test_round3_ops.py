@@ -205,7 +205,7 @@ def test_status_timings_on_resumed_crawl(ray_session, tmp_path, capsys):
                        max_rounds=1, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
-    # resume for one more round (exercises the streaming _RestorePush)
+    # resume for one more round (the earlier round's seen runs carry over)
     cfg2 = cfg.update(max_rounds=2)
     res = run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out,
                         cfg2, resume=True)

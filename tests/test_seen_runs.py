@@ -1,0 +1,216 @@
+"""The crawl's URL-seen set as per-round runs per host bucket: the
+schedule fold's retry, a worker killed mid-schedule, resume without
+actors or key pushes, a resume with another ``seen_shards``, a fresh
+crawl into a used directory, and the keyed folds' schema-carrying
+output blocks."""
+
+import functools
+import glob
+import os
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from markdown_lab_ray.config import EngineConfig
+from markdown_lab_ray.pipelines.oracle import run_crawl_oracle
+from markdown_lab_ray.sources.synth import SiteSpec, SyntheticWeb
+
+SPEC = SiteSpec(n_hosts=5, pages_per_host=12, n_images=40)
+CFG = EngineConfig(requests_per_second=0.05, round_seconds=60.0,  # budget 3
+                   max_rounds=4, max_depth=2, seen_shards=3)
+
+
+# a partial, not a test-module function: Ray workers cannot import
+# this module, so the factory must pickle by value
+WEB = functools.partial(SyntheticWeb, SPEC)
+
+
+def _read_keys(out_dir: str, kind: str, scheduled_only: bool = False):
+    """Every seen_key in the ``kind`` parts of all rounds, repeats kept."""
+    keys = []
+    for path in glob.glob(f"{out_dir}/rounds/round=*/{kind}/**/*.parquet",
+                          recursive=True):
+        tbl = pq.read_table(path)
+        if scheduled_only:
+            tbl = tbl.filter(tbl.column("scheduled"))
+        keys.extend(tbl.column("seen_key").to_pylist())
+    return keys
+
+
+def _frontier(spec, n_hosts=3, n_pages=6) -> pa.Table:
+    """Round-0-like frontier rows: every host's first pages, each twice
+    (an intra-round duplicate), tagged with bucket 0."""
+    from markdown_lab_ray.kernels.urls import url_seen_key
+    from markdown_lab_ray.pipelines.crawl import frontier_rows_to_table
+
+    rows = [{"loc": spec.page_url(i, j), "lastmod": None,
+             "changefreq": None, "priority": None, "host": spec.host(i),
+             "depth": 0, "seq_no": j, "seen_key":
+             url_seen_key(spec.page_url(i, j))}
+            for i in range(n_hosts) for j in range(n_pages)]
+    tbl = frontier_rows_to_table(rows + rows)
+    return tbl.append_column("_b", pa.array([0] * tbl.num_rows, pa.int64()))
+
+
+def test_schedule_fold_retry_rewrites_its_parts(tmp_path):
+    """A retried schedule fold rewrites the same schedule, frontier_next
+    and seen parts; the next round's fold drops the keys the first
+    round's run marked."""
+    from markdown_lab_ray.pipelines.crawl import (_LocalRobotsFactory,
+                                                  make_host_processor,
+                                                  make_schedule_fold)
+
+    rows = _frontier(SPEC)
+    step = make_host_processor(
+        _LocalRobotsFactory(WEB), 2)
+    out = str(tmp_path / "crawl")
+    first = make_schedule_fold(out, 0, step)(rows)
+    files = {p: open(p, "rb").read() for p in glob.glob(
+        f"{out}/rounds/round=0/**/*.*", recursive=True)}
+    assert {os.path.relpath(p, out).split(os.sep)[2] for p in files} == {
+        "schedule", "frontier_next", "seen"}
+    again = make_schedule_fold(out, 0, step)(rows)
+    assert again.equals(first)
+    assert {p: open(p, "rb").read() for p in glob.glob(
+        f"{out}/rounds/round=0/**/*.*", recursive=True)} == files
+
+    assert first.num_rows == 3 * 2  # budget 2 per host, duplicates dropped
+    marked = set(_read_keys(out, "seen"))
+    assert marked == set(first.column("seen_key").to_pylist())
+    second = make_schedule_fold(out, 1, step)(rows)
+    assert second.num_rows == 3 * 2
+    assert not marked & set(second.column("seen_key").to_pylist())
+
+
+def test_worker_killed_mid_schedule_recovers(ray_session, tmp_path,
+                                             monkeypatch):
+    """A worker process dies inside a schedule fold (its first robots
+    lookup exits the process once); Ray retries the fold and the crawl
+    still equals the oracle, with no key scheduled or marked twice."""
+    from markdown_lab_ray.pipelines import crawl
+    from markdown_lab_ray.state.robots import LocalRobotsCache
+
+    marker = str(tmp_path / "killed")
+
+    class ExitOnceRobotsFactory:
+        def __init__(self, web_factory):
+            self.web_factory = web_factory
+
+        def __call__(self):
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return LocalRobotsCache(self.web_factory().resolve)
+
+    out = str(tmp_path / "crawl")
+    crawl.run_crawl_ray(WEB, SPEC.seed_urls(), out,
+                        CFG.update(max_rounds=1))
+    # resuming skips discovery: the first robots lookup is a fold's
+    monkeypatch.setattr(crawl, "_LocalRobotsFactory", ExitOnceRobotsFactory)
+    crawl.run_crawl_ray(WEB, SPEC.seed_urls(), out, CFG, resume=True)
+    assert os.path.exists(marker)
+
+    oracle = run_crawl_oracle(WEB().resolve, SPEC.seed_urls(), CFG)
+    assert crawl.read_crawl_order(out)["loc"].tolist() == oracle["order"]
+    scheduled = _read_keys(out, "schedule", scheduled_only=True)
+    marked = _read_keys(out, "seen")
+    assert len(scheduled) == len(set(scheduled))
+    assert sorted(marked) == sorted(scheduled)
+    assert set(marked) == oracle["seen"]
+
+
+def test_worker_crawl_and_resume_start_no_actor(ray_session, tmp_path):
+    """A worker-mode crawl and its resume create no actor: the seen set
+    is the rounds' runs, and resume moves no key anywhere."""
+    import ray.data as rd
+    from ray._private.state import actors
+
+    from markdown_lab_ray.pipelines.crawl import (read_crawl_order,
+                                                  run_crawl_ray)
+
+    rd.range(1).materialize()  # Ray Data's own bookkeeping actors
+    before = set(actors())
+    full, part = str(tmp_path / "full"), str(tmp_path / "part")
+    run_crawl_ray(WEB, SPEC.seed_urls(), part, CFG.update(max_rounds=2))
+    run_crawl_ray(WEB, SPEC.seed_urls(), part, CFG, resume=True)
+    assert set(actors()) == before
+    run_crawl_ray(WEB, SPEC.seed_urls(), full, CFG)
+    pd.testing.assert_frame_equal(read_crawl_order(full),
+                                  read_crawl_order(part))
+
+
+def test_resume_keeps_the_recorded_bucket_count(ray_session, tmp_path):
+    """Each manifest records the seen runs' bucket count; a resume with
+    another ``seen_shards`` keeps the recorded one and equals the
+    uninterrupted run."""
+    import json
+
+    from markdown_lab_ray.pipelines.crawl import (read_crawl_order,
+                                                  run_crawl_ray)
+
+    full, part = str(tmp_path / "full"), str(tmp_path / "part")
+    run_crawl_ray(WEB, SPEC.seed_urls(), full, CFG)
+    run_crawl_ray(WEB, SPEC.seed_urls(), part, CFG.update(max_rounds=2))
+    run_crawl_ray(WEB, SPEC.seed_urls(), part, CFG.update(seen_shards=5),
+                  resume=True)
+    manifests = [json.load(open(m)) for m in sorted(glob.glob(
+        f"{part}/rounds/round=*/_MANIFEST.json"))]
+    assert len(manifests) == 4
+    assert {m["seen_buckets"] for m in manifests} == {3}
+    buckets = {int(d.rsplit("=", 1)[1]) for d in glob.glob(
+        f"{part}/rounds/round=*/seen/b=*")}
+    assert buckets and max(buckets) < 3
+    pd.testing.assert_frame_equal(read_crawl_order(full),
+                                  read_crawl_order(part))
+
+
+def test_fresh_crawl_ignores_an_earlier_crawls_rounds(ray_session,
+                                                     tmp_path):
+    """A fresh crawl (no resume) into a directory that holds an earlier,
+    longer crawl's rounds equals the same crawl into an empty one: the
+    earlier rounds' parts and seen runs do not leak in."""
+    from markdown_lab_ray.pipelines.crawl import (read_crawl_order,
+                                                  run_crawl_ray)
+
+    used, empty = str(tmp_path / "used"), str(tmp_path / "empty")
+    run_crawl_ray(WEB, SPEC.seed_urls(), used, CFG)
+    short = CFG.update(max_rounds=2, requests_per_second=0.1)
+    run_crawl_ray(WEB, SPEC.seed_urls(), used, short)
+    run_crawl_ray(WEB, SPEC.seed_urls(), empty, short)
+    pd.testing.assert_frame_equal(read_crawl_order(used),
+                                  read_crawl_order(empty))
+    assert len(glob.glob(f"{used}/rounds/round=*")) == 2
+
+
+def test_crawl_and_health_log_no_schema_drift(ray_session, tmp_path):
+    """Every block the keyed folds emit carries its schema, empty ones
+    included: a crawl with the circuit breaker on (the schedule and the
+    breaker's host tally folds; some seeds discover nothing) and then
+    ``crawl_health`` log no "different schema" warning."""
+    import logging
+
+    from markdown_lab_ray.pipelines.crawl import crawl_health, run_crawl_ray
+
+    records: list[str] = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            records.append(record.getMessage())
+
+    spec = SiteSpec(n_hosts=6, pages_per_host=12, n_images=40,
+                    error_host_every=3, redirect_every=4)
+    cfg = CFG.update(max_rounds=5, breaker_threshold=4,
+                     breaker_cooldown_rounds=1)
+    out = str(tmp_path / "crawl")
+    handler = Capture()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        result = run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(),
+                               out, cfg)
+        panel = crawl_health(out)
+    finally:
+        logger.removeHandler(handler)
+    assert result.failed > 0 and len(panel) == len(spec.hosts())
+    assert not [r for r in records if "different schema" in r]

@@ -203,3 +203,69 @@ def test_cuckoo_delete_duplicate_copy_safety():
     assert f.delete("dup") and f.contains("dup")
     assert f.delete("dup") and not f.contains("dup")
     assert not f.delete("dup")  # nothing left to delete
+
+
+# ---------------------------------------------------------------------------
+# seen runs (the crawl's on-disk URL-seen set)
+# ---------------------------------------------------------------------------
+
+def test_run_probe_matches_local_seen():
+    """The crawl's probe over k sorted runs equals ``LocalSeen`` holding
+    the same keys.  The runs' filters are packed full (capacity = their
+    key count), so filter false positives occur and must be settled by
+    the runs' keys; one run's filter saturates and has none."""
+    import random
+
+    from markdown_lab_ray.state.seen import SeenRun, runs_contain
+
+    rng = random.Random(7)
+    members = [f"{rng.getrandbits(128):032x}" for _ in range(6 * 28)]
+    runs = [SeenRun.build(members[i:i + 28], capacity=28)
+            for i in range(0, len(members), 28)]
+    runs.append(SeenRun.build([f"sat{i}" for i in range(40)], capacity=4))
+    assert runs[-1].filter is None
+    assert all(run.filter is not None for run in runs[:-1])
+    local = LocalSeen(1 << 12)
+    local.check_and_add(members + [f"sat{i}" for i in range(40)])
+
+    probe = np.array(members[::3] + ["sat3", "sat99"]
+                     + [f"{rng.getrandbits(128):032x}" for _ in range(30000)],
+                     dtype=object)
+    got = runs_contain(probe, runs)
+    assert got.tolist() == local.contains_many(list(probe))
+    false_positives = sum(
+        int((run.filter.contains_many(probe) & ~run.contains_many(probe))
+            .sum()) for run in runs[:-1])
+    assert false_positives > 0
+
+
+def test_seen_run_round_trips_through_its_files(tmp_path):
+    """A run written as its parquet part plus the ``.cuckoo`` filter next
+    to it opens with the same filter and answers the same probes."""
+    import pyarrow.parquet as pq
+
+    from markdown_lab_ray.state.seen import SeenRun
+
+    keys = [f"k{i:03d}" for i in range(50)]
+    run = SeenRun.build(keys[::-1])
+    assert run.keys().tolist() == keys  # sorted
+    path = str(tmp_path / "part-x.parquet")
+    pq.write_table(run.table(), path)
+    run.save_filter(path)
+    opened = SeenRun.open(path)
+    assert np.array_equal(opened.filter.slots, run.filter.slots)
+    probe = np.array(keys + ["k050", "zzz", ""], dtype=object)
+    assert opened.contains_many(probe).tolist() == [True] * 50 + [False] * 3
+
+
+def test_cuckoo_bulk_and_scalar_paths_agree():
+    """``add_many``/``contains_many`` hash a key column once; the scalar
+    ``add``/``contains`` are the same filter one key at a time."""
+    keys = [f"https://h{i % 7}.example.com/p/{i}" for i in range(300)]
+    bulk, scalar = CuckooFilter(512, seed=3), CuckooFilter(512, seed=3)
+    assert bulk.add_many(keys)
+    assert all(scalar.add(k) for k in keys)
+    assert np.array_equal(bulk.slots, scalar.slots)
+    probe = keys + [f"other{i}" for i in range(300)]
+    assert bulk.contains_many(probe).tolist() == [
+        scalar.contains(k) for k in probe]
