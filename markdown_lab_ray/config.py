@@ -43,9 +43,9 @@ class EngineConfig:
     fetch_mode: str = "tasks"          # the one fetch tier: tasks, one
                                        # fetcher per worker process
     seen_shards: int = 16              # host buckets of the URL-seen
-                                       # runs (the schedule fold's
-                                       # keyed_fold buckets); fixed for
-                                       # a crawl's life, resume keeps
+                                       # runs and the frontier's
+                                       # partition count; fixed for a
+                                       # crawl's life, resume keeps
                                        # the recorded count
     payload_cache_ttl: float = 0.0     # >0 → per-worker-process TTL/LRU cache
     pacing_rps: float = 0.0            # >0 → realtime per-host pacing in

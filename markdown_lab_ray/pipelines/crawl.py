@@ -1,38 +1,39 @@
 """Distributed crawl engine: BSP rounds over Ray Data (SURVEY.md §3.4).
 
-A round is two Ray Data executions, and every output is written by the
-task that makes it (``_write_part``):
+Every frontier part is written per host bucket (``_write_buckets``, on
+the ``key_buckets(host, seen_shards)`` of the seen runs' ``seen/b=<b>/``),
+so a round needs no shuffle: it is one Ray Data execution, and every
+output is written by the task that makes it.
 
-- the schedule execution reads the previous round's ``frontier_next``
-  lazily and folds it by host bucket (``keyed_fold`` on
-  ``key_buckets(host, seen_buckets)``).  The fold for bucket ``b``
-  (``make_schedule_fold``) drops the keys of bucket ``b``'s seen runs
-  from the earlier rounds, runs the per-host step
-  (``make_host_processor``: intra-round dedup, robots checks and the
-  politeness schedule) over an in-bucket ``groupby(host)``, and writes
-  ``schedule/``, the deferred rows into ``frontier_next/`` and the
-  round's own seen run into ``seen/b=<b>/``.  Only the scheduled rows
-  are materialized;
-- the fetch execution runs ``fetch_convert_batch`` tasks that write
-  ``docs/``, ``chunks/`` and their pages' links into ``frontier_next/``.
-  Their host rows ``(host, ok, n, dsts)`` (``_host_tally``) are their
-  one channel to the driver: the round's failures, the circuit
-  breaker's streaks and the authority edges all come from them; no
-  round reads ``docs/`` back.
+- a schedule fold per bucket with frontier parts (``make_schedule_fold``)
+  reads them, drops the keys of the bucket's earlier seen runs, runs the
+  per-host step (``make_host_processor``) and writes ``schedule/``, its
+  deferred rows into ``frontier_next/`` and the round's seen run;
+- a streaming repartition (a map operator, not an all-to-all shuffle)
+  cuts the scheduled rows into fetch batches, so fetch parallelism does
+  not follow the bucket count;
+- ``fetch_convert_batch`` tasks write ``docs/``, ``chunks/`` and their
+  pages' links into ``frontier_next/``.  Their host rows ``(host, ok,
+  n, dsts)`` (``_host_tally``) are their one channel to the driver:
+  failures, the circuit breaker's streaks (folded per host by
+  ``keyed_fold``) and the authority edges; no round reads ``docs/``.
 
-The round's ``_MANIFEST.json`` is written after both executions, so a
-killed run resumes from the last complete round with per-partition
-lineage (north_rule: resumable with metrics); partial checkpoints of an
-interrupted round, its seen runs included, are discarded on re-entry,
-so marking keys seen commits with the manifest.  A worker-mode crawl
-starts no actor.
+The round's ``_MANIFEST.json`` follows the execution (``scheduled``
+counts the seen runs' rows, ``deferred`` the other ``schedule/`` rows),
+so a killed run resumes from the last complete round (north_rule:
+resumable with metrics); an interrupted round's partial checkpoints,
+seen runs included, are discarded on re-entry, so marking keys seen
+commits with the manifest.  A worker-mode crawl starts no actor.
 
 Scale notes (10^10-URL frontier):
 - frontier rows are metadata-sized; page payloads never cross a round
   boundary (docs/chunks are written, links are folded back to rows);
 - URL-seen is O(urls) on disk, split by host bucket and by round: a
-  bucket's fold reads only its own runs, one per earlier round, each
-  behind a cuckoo filter (state/seen.py); resume reads no key;
+  bucket's fold reads only its own parts and runs, each run behind a
+  cuckoo filter (state/seen.py); resume reads no key;
+- a round writes at most fetch tasks × buckets frontier parts, the
+  fan-out the sort shuffle made in the object store; compacting them is
+  the follow-up;
 - per-host budget caps each round's fetch volume, so a hot host defers
   rather than stalls; its host group is not split across tasks
   (``make_host_processor`` says why).
@@ -44,9 +45,11 @@ import glob
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -59,7 +62,7 @@ from ..state.politeness import (breaker_update, effective_budget,
                                 round_budget, schedule_group)
 from ..state.robots import LocalRobotsCache
 from ..state.seen import SeenRun, runs_contain
-from ..stages.bucketing import conform, keyed_fold
+from ..stages.bucketing import conform, key_buckets, keyed_fold
 from ..stages.convert import chunk_explode_batch, convert_row
 from .crawl_spec import discover_seed_frontier
 
@@ -86,13 +89,15 @@ def _worker_cached(cache: dict, factory, build):
 
 
 def discover_batch(batch: pa.Table, web_factory, robots_factory,
-                   **filters) -> pa.Table:
+                   out_dir: str, n_buckets: int, **filters) -> pa.Table:
     """Seed URL rows → frontier rows (robots → sitemap recursion →
     filters), reference discovery semantics, as tasks on the warm
     worker pool.  The resolver comes from the worker-process web cache
     and robots rules from the crawl's ``robots_factory`` (the same cache
     entry the schedule and fetch stages read), so a worker fetches each
-    host's robots.txt once per crawl."""
+    host's robots.txt once per crawl.  The task writes its rows per
+    host bucket into ``out_dir``, named by their ``seq_no``s (which
+    hold the seed index), and returns their count."""
     web = _worker_cached(_WEB_CACHE, web_factory, lambda f: f())
     robots = _robots_cache(robots_factory)
     rows = []
@@ -100,7 +105,9 @@ def discover_batch(batch: pa.Table, web_factory, robots_factory,
                          batch.column("seed_idx").to_pylist()):
         rows.extend(discover_seed_frontier(
             web.resolve, robots, seed, idx, **filters))
-    return frontier_rows_to_table(rows)
+    tbl = frontier_rows_to_table(rows)
+    _write_buckets(tbl, out_dir, tbl.column("seq_no"), n_buckets)
+    return pa.table({"n": [tbl.num_rows]})
 
 
 _ROBOTS_CACHE: dict[str, object] = {}
@@ -239,22 +246,51 @@ def fetch_head_batch(batch: pa.Table, web_factory) -> pa.Table:
     ).append_column("content_length", pa.array(lengths, pa.int64()))
 
 
-def _write_part(tbl: pa.Table, out_dir: str, keys) -> str | None:
+def _write_part(tbl: pa.Table, out_dir: str, keys,
+                prefix: str = "part") -> str | None:
     """The engine's one writer: the task that makes ``tbl`` writes it as
-    one zstd parquet part of ``out_dir``, named by the md5 of its
-    batch's whole key column ``keys`` (``seen_key`` in the crawl,
-    ``seq`` in the batch verb), and returns the part's path.  A retried
-    task overwrites its own file, and two different batches never share
-    a name.  An empty table writes no file (None).  A failed round's
-    partial parts are discarded with the round on resume."""
+    one zstd parquet part of ``out_dir``, named ``<prefix>-<md5>`` by
+    the md5 of its batch's whole key column ``keys`` (``seen_key`` in
+    the crawl, ``seq`` in the batch verb), and returns the part's path.
+    A retried task overwrites its own file, and two different batches
+    never share a name.  An empty table writes no file (None)."""
     if tbl.num_rows == 0:
         return None
     stem = hashlib.md5(
         "\n".join(map(str, keys.to_pylist())).encode()).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"part-{stem}.parquet")
+    path = os.path.join(out_dir, f"{prefix}-{stem}.parquet")
     pq.write_table(tbl, path, compression="zstd")
     return path
+
+
+def _write_buckets(tbl: pa.Table, out_dir: str, keys, n_buckets: int) -> None:
+    """Frontier rows → one ``_write_part`` per non-empty host bucket ``b``
+    of ``key_buckets(host, n_buckets)``, named ``b<b>-<md5>``, flat in
+    ``out_dir``: bucket ``b``'s schedule fold reads exactly its parts."""
+    buckets = key_buckets(
+        tbl.column("host").to_numpy(zero_copy_only=False), n_buckets)
+    for b in np.unique(buckets):
+        _write_part(tbl.filter(pa.array(buckets == b)), out_dir, keys,
+                    prefix=f"b{b}")
+
+
+def _frontier_buckets(frontier_dir: str) -> list[int]:
+    """The host buckets that have frontier parts, from the part names; a
+    part of no bucket (an older crawl layout) raises, as no fold reads it."""
+    names = [os.path.basename(p) for p in
+             glob.glob(os.path.join(frontier_dir, "*.parquet"))]
+    if not all(re.match(r"b\d+-", n) for n in names):
+        raise ValueError(f"{frontier_dir} holds a part of no host bucket")
+    return sorted({int(n[1:].split("-", 1)[0]) for n in names})
+
+
+def _read_bucket(frontier_dir: str, b: int) -> pa.Table:
+    """Bucket ``b``'s frontier rows: its parts in sorted-name order (the
+    order a retried round reads them in too), FRONTIER_COLS only."""
+    return pa.concat_tables([pq.read_table(f, columns=FRONTIER_COLS) for f in
+                             sorted(glob.glob(os.path.join(
+                                 frontier_dir, f"b{b}-*.parquet")))])
 
 
 def _chunk_rows(docs_tbl: pa.Table, chunk_size: int,
@@ -358,7 +394,8 @@ def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
                         cache_ttl: float = 0.0, pacing_rps: float = 0.0,
                         robots_factory=None, chunk_size: int = 1000,
                         chunk_overlap: int = 200, max_depth: int = 0,
-                        trap_cap: int = 0, edges: bool = False,
+                        trap_cap: int = 0, n_buckets: int = 1,
+                        edges: bool = False,
                         all_hosts: bool = False) -> pa.Table:
     """The crawl's fetch + convert stage, a stateless task: this worker
     process's ``fetcher`` fetches the batch of scheduled rows,
@@ -366,7 +403,8 @@ def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
     what it makes into the round directory ``rdir``: the docs part, the
     chunks of its 200 pages and, below ``max_depth``, the next-frontier
     rows of its 2xx/3xx pages (``links_explode_batch``; a 3xx row's
-    links column holds its redirect target) into ``frontier_next/``.
+    links column holds its redirect target) into ``frontier_next/``,
+    one part per host bucket of ``n_buckets`` (``_write_buckets``).
     Fetched HTML and docs never leave the worker process; the task
     returns its ``_host_tally`` (``edges``: authority on; ``all_hosts``:
     breaker on)."""
@@ -382,8 +420,8 @@ def fetch_convert_batch(batch: pa.Table, web_factory, rdir: str,
         link_src = docs_tbl.filter(pc.and_(
             pc.and_(pc.greater_equal(status, 200), pc.less(status, 400)),
             pc.less(docs_tbl.column("depth"), max_depth)))
-        _write_part(links_explode_batch(link_src, trap_cap=trap_cap),
-                    os.path.join(rdir, "frontier_next"), keys)
+        _write_buckets(links_explode_batch(link_src, trap_cap=trap_cap),
+                       os.path.join(rdir, "frontier_next"), keys, n_buckets)
     return _host_tally(docs_tbl, edges, all_hosts)
 
 
@@ -457,29 +495,30 @@ def make_host_processor(robots_factory, budget: int,
     return host_step
 
 
-def make_schedule_fold(out_dir: str, round_no: int, host_step):
-    """The round's schedule fold, one call per host bucket (the group
-    function of ``keyed_fold``; its operator is ``MapBatches(process)``).
-    For bucket ``b`` it
+def make_schedule_fold(out_dir: str, round_no: int, host_step,
+                       frontier_dir: str):
+    """The round's schedule fold (operator ``MapBatches(process)``), one
+    call per host bucket ``b`` with parts in ``frontier_dir``.  It
 
-    1. opens bucket ``b``'s seen runs of the earlier rounds
-       (``rounds/round=k/seen/b=<b>/``, k < ``round_no``);
-    2. drops their keys from the whole bucket, breaker-open hosts
-       included (``runs_contain``);
-    3. runs ``host_step`` over an in-bucket ``groupby(host)``;
-    4. writes the schedule part, the deferred rows into
-       ``frontier_next/`` and this round's run of the scheduled keys,
-       all through ``_write_part``, and returns the scheduled rows.
+    1. reads bucket ``b``'s frontier parts and drops the keys of its
+       seen runs of the earlier rounds (``rounds/round=k/seen/b=<b>/``,
+       k < ``round_no``), breaker-open hosts included;
+    2. runs ``host_step`` over an in-bucket ``groupby(host)``;
+    3. writes the schedule part, the deferred rows into
+       ``frontier_next/`` (as bucket ``b``'s part) and this round's run
+       of the scheduled keys, and returns the scheduled rows.
 
     Writing the run marks its keys seen.  Every output is a function of
-    the bucket's rows and the earlier rounds' runs, and every part is
+    the bucket's parts and the earlier rounds' runs, and every part is
     named by its keys, so a retried fold rewrites the same files."""
     import pandas as pd
 
     rdir = _round_dir(out_dir, round_no)
 
-    def process(rows: pa.Table) -> pa.Table:
-        run_dir = os.path.join("seen", f"b={rows.column('_b')[0].as_py()}")
+    def process(item: pa.Table) -> pa.Table:
+        b = item.column("b")[0].as_py()
+        rows = _read_bucket(frontier_dir, b)
+        run_dir = os.path.join("seen", f"b={b}")
         runs = [SeenRun.open(path) for k in range(round_no)
                 for path in sorted(glob.glob(os.path.join(
                     _round_dir(out_dir, k), run_dir, "*.parquet")))]
@@ -497,7 +536,8 @@ def make_schedule_fold(out_dir: str, round_no: int, host_step):
         _write_part(batch, os.path.join(rdir, "schedule"), keys)
         scheduled = batch.column("scheduled")
         _write_part(batch.filter(pc.invert(scheduled)).select(FRONTIER_COLS),
-                    os.path.join(rdir, "frontier_next"), keys)
+                    os.path.join(rdir, "frontier_next"), keys,
+                    prefix=f"b{b}")
         batch = batch.filter(scheduled)
         if batch.num_rows:
             run = SeenRun.build(
@@ -566,7 +606,6 @@ def links_explode_batch(batch: pa.Table, trap_cap: int = 0) -> pa.Table:
     ``tests/test_crawl.py::test_links_explode_vectorized_parity``."""
     import zlib
 
-    import numpy as np
     import pandas as pd
 
     from ..kernels.urls import normalize_and_host, path_template
@@ -658,20 +697,9 @@ def _read_parts(files: list[str], **kwargs):
     return rd.read_parquet(files, override_num_blocks=len(files), **kwargs)
 
 
-def _read_frontier(path: str):
-    """Lazy read that tolerates an empty checkpoint directory.  No hive
-    partitioning: the ``round=N`` directory above the checkpoint must
-    not come back as an extra ``round`` column."""
-    import ray.data as rd
-
-    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    if not files:
-        return rd.from_arrow(frontier_rows_to_table([]))
-    return _read_parts(files, partitioning=None)
-
-
 def _parquet_rows(path: str) -> int:
-    """Rows in a checkpoint directory, from its parts' parquet footers."""
+    """Rows in a checkpoint directory (or a glob of them), from its
+    parts' parquet footers."""
     return sum(pq.read_metadata(f).num_rows
                for f in glob.glob(os.path.join(path, "*.parquet")))
 
@@ -760,17 +788,6 @@ def _since(t0: float) -> float:
     return round(time.perf_counter() - t0, 3)
 
 
-def _nonempty_blocks(ds):
-    """``ds`` without its empty blocks (a seed that discovers nothing
-    leaves one): Ray Data emits an empty block column-less from the
-    next map stage."""
-    import ray.data as rd
-
-    return rd.from_arrow_refs([
-        ref for bundle in ds.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks if meta.num_rows])
-
-
 def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
                   cfg: EngineConfig, robots_factory, filters: dict,
                   resume: bool) -> CrawlResult:
@@ -780,8 +797,6 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
     import ray
     import ray.data as rd
 
-    # block counts follow the cluster's CPUs
-    total_cpus = int(ray.cluster_resources().get("CPU", 4))
     budget = round_budget(cfg.requests_per_second, cfg.round_seconds)
     result = CrawlResult(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -820,33 +835,35 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             with open(apath) as f:
                 host_edges = {tuple(e) for e in json.load(f)}
 
+    breaker_on = cfg.breaker_threshold > 0
     t0 = time.perf_counter()
     if start_round > 0:
-        next_dir = os.path.join(_round_dir(out_dir, start_round - 1),
-                                "frontier_next")
-        frontier = _read_frontier(next_dir)
-        n_frontier = _parquet_rows(next_dir)
+        frontier_dir = os.path.join(_round_dir(out_dir, start_round - 1),
+                                    "frontier_next")
     else:
-        # one block per seed up to a cap: per-seed tasks maximize
-        # discovery parallelism for normal seed lists, while a 10^6-seed
-        # frontier doesn't explode into 10^6 scheduler-bound tiny blocks
-        # (past the cap each task walks several seeds sequentially)
+        # discovery writes the round-0 frontier into an emptied directory
+        # that no ``round=*`` glob matches.  One block per seed up to a
+        # cap: per-seed tasks maximize discovery parallelism for normal
+        # seed lists, while a 10^6-seed frontier doesn't explode into
+        # 10^6 scheduler-bound tiny blocks (past the cap each task walks
+        # several seeds sequentially)
+        frontier_dir = os.path.join(out_dir, "rounds", "discovery")
+        shutil.rmtree(frontier_dir, ignore_errors=True)
+        total_cpus = int(ray.cluster_resources().get("CPU", 4))
         n_seed_blocks = max(1, min(len(seed_urls), total_cpus * 8))
-        seeds = rd.from_items([
+        rd.from_items([
             {"seed": s, "seed_idx": i} for i, s in enumerate(seed_urls)],
-            override_num_blocks=n_seed_blocks)
-        frontier = seeds.map_batches(
+            override_num_blocks=n_seed_blocks).map_batches(
             discover_batch, batch_format="pyarrow", batch_size=1,
             fn_kwargs=dict(web_factory=web_factory,
-                           robots_factory=robots_factory, **filters)
-        ).materialize()  # frontier rows are metadata-sized
-        n_frontier = frontier.count()
-        if n_frontier:
-            frontier = _nonempty_blocks(frontier)
+                           robots_factory=robots_factory,
+                           out_dir=frontier_dir, n_buckets=n_buckets,
+                           **filters)).take_all()
     result.t_discovery = _since(t0)
 
     for round_no in range(start_round, cfg.max_rounds):
-        if n_frontier == 0:
+        buckets = _frontier_buckets(frontier_dir)
+        if not buckets:
             break
         rdir = _round_dir(out_dir, round_no)
         if (os.path.exists(rdir)
@@ -855,12 +872,11 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             # round must start clean
             shutil.rmtree(rdir)
         os.makedirs(rdir, exist_ok=True)
-        next_dir = os.path.join(rdir, "frontier_next")
-        timings: dict[str, float] = {}
 
-        # the schedule execution: one fold per host bucket drops the
-        # seen keys, runs dedup + robots + schedule per host and writes
-        # the round's parts and seen runs (make_schedule_fold)
+        # the round's one execution (module docstring).  A round with
+        # nothing scheduled has rows left only when every pending host
+        # is breaker-open: it sits out, and its deferred rows carry over
+        # (the oracle keeps advancing rounds the same way)
         open_hosts = frozenset(
             h for h, (streak, ou) in breaker.items() if ou > round_no)
         host_boosts: dict = {}
@@ -868,68 +884,54 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             host_boosts = authority_multipliers(
                 local_pagerank_hosts(host_edges, cfg.authority_iters),
                 cfg.authority_boost)
+        fold = make_schedule_fold(out_dir, round_no, make_host_processor(
+            robots_factory, budget, cfg.round_seconds,
+            open_hosts=open_hosts, host_boosts=host_boosts), frontier_dir)
         t0 = time.perf_counter()
-        scheduled = keyed_fold(
-            frontier, "host",
-            make_schedule_fold(out_dir, round_no, make_host_processor(
-                robots_factory, budget, cfg.round_seconds,
-                open_hosts=open_hosts, host_boosts=host_boosts)),
-            n_buckets=n_buckets, schema=_SCHEDULE_PA_SCHEMA).materialize()
-        n_scheduled = scheduled.count()
-        n_deferred = _parquet_rows(next_dir)  # only deferred rows so far
-        timings["schedule"] = _since(t0)
-
-        # the fetch execution: fetch + convert + write.  A round with
-        # nothing scheduled has rows left only when every pending host
-        # is breaker-open (every other host group schedules at least one
-        # row): it sits out, and its deferred rows carry over (the
-        # oracle keeps advancing rounds the same way)
-        failed = 0
-        if n_scheduled:
-            # repartition first: schedule blocks mirror host buckets,
-            # which can leave the fetch chain with too few blocks to
-            # parallelize
-            n_blocks = max(1, min(n_scheduled // cfg.fetch_batch_size + 1,
-                                  total_cpus * 4))
-            breaker_on = cfg.breaker_threshold > 0
-            t0 = time.perf_counter()
-            tallies = (scheduled.repartition(n_blocks)
-                       .map_batches(
-                           fetch_convert_batch, batch_format="pyarrow",
-                           batch_size=cfg.fetch_batch_size,
-                           fn_kwargs=dict(
-                               web_factory=web_factory, rdir=rdir,
-                               cache_ttl=cfg.payload_cache_ttl,
-                               pacing_rps=cfg.pacing_rps,
-                               robots_factory=robots_factory,
-                               chunk_size=cfg.chunk_size,
-                               chunk_overlap=cfg.chunk_overlap,
-                               max_depth=cfg.max_depth,
-                               trap_cap=cfg.trap_links_per_template,
-                               edges=cfg.authority_boost > 1,
-                               all_hosts=breaker_on)))
-            if breaker_on:
-                # one row per host and batch: fold them per host bucket
-                # before they reach the driver
-                tallies = keyed_fold(
-                    tallies, "host", _fold_hosts, n_buckets=n_buckets,
-                    schema=_HOST_ROWS_SCHEMA,
-                    fn_kwargs=dict(keep_hosts=frozenset(breaker)))
-            host_rows = tallies.take_all()
-            timings["fetch_convert"] = _since(t0)
-            # the schedule dropped seen and duplicate keys, so every
-            # scheduled row is fetched once; every failure has a row
-            failed = sum(int(r["n"] - r["ok"]) for r in host_rows)
-            if breaker_on:
-                _update_breaker(breaker, host_rows, round_no, cfg)
-            if cfg.authority_boost > 1:
-                host_edges = merge_edges(
-                    host_edges,
-                    {(r["host"], d) for r in host_rows for d in r["dsts"]},
-                    cfg.authority_edge_cap)
+        tallies = (rd.from_items([{"b": b} for b in buckets],
+                                 override_num_blocks=len(buckets))
+                   .map_batches(fold, batch_format="pyarrow", batch_size=1)
+                   .repartition(
+                       target_num_rows_per_block=cfg.fetch_batch_size)
+                   .map_batches(
+                       fetch_convert_batch, batch_format="pyarrow",
+                       batch_size=cfg.fetch_batch_size,
+                       fn_kwargs=dict(
+                           web_factory=web_factory, rdir=rdir,
+                           cache_ttl=cfg.payload_cache_ttl,
+                           pacing_rps=cfg.pacing_rps,
+                           robots_factory=robots_factory,
+                           chunk_size=cfg.chunk_size,
+                           chunk_overlap=cfg.chunk_overlap,
+                           max_depth=cfg.max_depth, n_buckets=n_buckets,
+                           trap_cap=cfg.trap_links_per_template,
+                           edges=cfg.authority_boost > 1,
+                           all_hosts=breaker_on)))
+        if breaker_on:
+            # one row per host and batch: fold them per host bucket
+            # before they reach the driver
+            tallies = keyed_fold(
+                tallies, "host", _fold_hosts, n_buckets=n_buckets,
+                schema=_HOST_ROWS_SCHEMA,
+                fn_kwargs=dict(keep_hosts=frozenset(breaker)))
+        host_rows = tallies.take_all()
+        t_execution = _since(t0)
+        n_scheduled = _parquet_rows(os.path.join(rdir, "seen", "b=*"))
+        n_deferred = (_parquet_rows(os.path.join(rdir, "schedule"))
+                      - n_scheduled)
+        # the schedule dropped seen and duplicate keys, so every
+        # scheduled row is fetched once; every failure has a row
+        failed = sum(int(r["n"] - r["ok"]) for r in host_rows)
+        if breaker_on:
+            _update_breaker(breaker, host_rows, round_no, cfg)
+        if cfg.authority_boost > 1:
+            host_edges = merge_edges(
+                host_edges,
+                {(r["host"], d) for r in host_rows for d in r["dsts"]},
+                cfg.authority_edge_cap)
 
         # every part is closed: the manifest makes the round complete
-        if cfg.breaker_threshold > 0:
+        if breaker_on:
             _write_breaker_state(rdir, breaker, round_no)
         if cfg.authority_boost > 1:
             _write_authority_state(rdir, host_edges)
@@ -937,17 +939,15 @@ def _crawl_rounds(web_factory, seed_urls: list[str], out_dir: str,
             "round": round_no, "scheduled": n_scheduled,
             "fetched": n_scheduled - failed, "failed": failed,
             "deferred": n_deferred, "seen_buckets": n_buckets,
-            "timings": timings,
+            "timings": {"execution": t_execution},
         }
         result.manifest.append(entry)
-        result.fetched += n_scheduled - failed
+        result.fetched += entry["fetched"]
         result.failed += failed
         result.rounds = round_no + 1
         with open(os.path.join(rdir, "_MANIFEST.json"), "w") as f:
             json.dump(entry, f)
-
-        frontier = _read_frontier(next_dir)
-        n_frontier = _parquet_rows(next_dir)
+        frontier_dir = os.path.join(rdir, "frontier_next")
 
     with open(os.path.join(out_dir, "_CRAWL.json"), "w") as f:
         json.dump({"rounds": result.rounds, "fetched": result.fetched,
@@ -1087,7 +1087,6 @@ def crawl_health(out_dir: str):
     n_scheduled, n_deferred, n_fetched, n_failed, rounds_active),
     host-sorted.
     """
-    import numpy as np
     import pandas as pd
     import ray.data as rd
 

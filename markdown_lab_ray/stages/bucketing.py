@@ -11,9 +11,9 @@ bucket, and the in-bucket groupby is exact.
 
 ``keyed_fold`` is that shuffle as one primitive (tag → sort shuffle on
 the bucket id → one fold call per bucket, every output block carrying
-the fold's schema); the crawl's three folds run on it — the round's
-schedule (which owns the URL-seen runs), the circuit breaker's host
-tally and ``crawl_health``.
+the fold's schema); the breaker's host tally and ``crawl_health`` run
+on it.  The crawl's schedule needs none: its frontier parts are written
+per ``key_buckets`` bucket by the tasks that make them.
 
 Skew note: a single hot key still bounds a bucket's size from below;
 operators whose per-key work is superlinear (none of the current
@@ -92,12 +92,12 @@ def _tag_with_sentinels(batch: "pa.Table", key: str,
 
 def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
                fn_kwargs: dict | None = None):
-    """The one keyed shuffle: ``fold(rows, **fn_kwargs)`` runs once per
-    bucket of ``key_buckets(key, n_buckets)`` over ALL of that bucket's
-    rows (an Arrow table that still holds the ``_b`` bucket-id column,
-    for a fold with per-bucket state) and returns an Arrow table, cast
-    to ``schema``.  Every row of a key lands in one bucket, so a fold
-    may run an exact in-bucket ``group_by(key)``.
+    """The one keyed shuffle (the breaker's host tally, ``crawl_health``):
+    ``fold(rows, **fn_kwargs)`` runs once per bucket of
+    ``key_buckets(key, n_buckets)`` over ALL of that bucket's rows (an
+    Arrow table that still holds the ``_b`` column) and returns an Arrow
+    table, cast to ``schema``.  Every row of a key lands in one bucket,
+    so a fold may run an exact in-bucket ``group_by(key)``.
 
     The transport is Ray Data's sort shuffle on ``_b`` with one
     partition per bucket (explicit boundaries: no sampling pass).  Ray

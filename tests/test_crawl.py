@@ -288,7 +288,9 @@ def test_discovery_and_schedule_share_one_robots_fetch(tmp_path):
     robots_factory = _LocalRobotsFactory(web_factory)
     seeds = SPEC.seed_urls()
     batch = pa.table({"seed": seeds, "seed_idx": list(range(len(seeds)))})
-    assert discover_batch(batch, web_factory, robots_factory).num_rows > 0
+    count = discover_batch(batch, web_factory, robots_factory,
+                           out_dir=str(tmp_path / "discovery"), n_buckets=2)
+    assert count.column("n")[0].as_py() > 0
     for host in SPEC.hosts():
         _robots_rules(robots_factory, host)
     with open(log) as f:
@@ -377,10 +379,13 @@ def test_crawl_chunks_only_ok_pages(ray_session, tmp_path):
 
 
 def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
-    """A checkpointed frontier reads back with exactly FRONTIER_COLS: the
-    ``round=N`` directory above it is not a hive partition column."""
+    """The schedule fold's part reader gives a bucket's frontier rows
+    with exactly FRONTIER_COLS, from discovery's parts and from every
+    round's ``frontier_next``: the ``round=N`` directory above them is
+    not a hive partition column."""
     from markdown_lab_ray.pipelines.crawl import (FRONTIER_COLS,
-                                                  _read_frontier,
+                                                  _frontier_buckets,
+                                                  _read_bucket,
                                                   run_crawl_ray)
 
     spec = SiteSpec(n_hosts=2, pages_per_host=8)
@@ -388,11 +393,36 @@ def test_frontier_reads_only_frontier_cols(ray_session, tmp_path):
                        max_rounds=2, max_depth=1, seen_shards=2)
     out = str(tmp_path / "crawl")
     run_crawl_ray(lambda: SyntheticWeb(spec), spec.seed_urls(), out, cfg)
-    for round_no in (0, 1):
-        rdir = f"{out}/rounds/round={round_no}"
-        frontier = _read_frontier(f"{rdir}/frontier_next")
-        assert frontier.count() > 0
-        assert frontier.schema().names == FRONTIER_COLS
+    for path in (f"{out}/rounds/discovery",
+                 f"{out}/rounds/round=0/frontier_next",
+                 f"{out}/rounds/round=1/frontier_next"):
+        buckets = _frontier_buckets(path)
+        assert buckets, path
+        for b in buckets:
+            rows = _read_bucket(path, b)
+            assert rows.num_rows > 0
+            assert rows.schema.names == FRONTIER_COLS
+
+
+def test_unbucketed_frontier_part_raises(tmp_path):
+    """A frontier part named without a host bucket (a crawl directory
+    written before frontier parts were bucketed) fails the round's
+    bucket listing instead of being skipped with its rows."""
+    import pytest
+
+    from markdown_lab_ray.pipelines.crawl import (_frontier_buckets,
+                                                  _write_part,
+                                                  frontier_rows_to_table)
+
+    tbl = frontier_rows_to_table([{
+        "loc": "https://a.example/x", "lastmod": None, "changefreq": None,
+        "priority": None, "host": "a.example", "depth": 0, "seq_no": 0,
+        "seen_key": "k"}])
+    _write_part(tbl, str(tmp_path), tbl.column("seen_key"), prefix="b3")
+    assert _frontier_buckets(str(tmp_path)) == [3]
+    _write_part(tbl, str(tmp_path), tbl.column("seen_key"))
+    with pytest.raises(ValueError, match="no host bucket"):
+        _frontier_buckets(str(tmp_path))
 
 
 def _scheduled_batch(spec, n_hosts=2, n_pages=2):
@@ -453,9 +483,12 @@ def test_fetch_settings_reach_the_crawl_fetch(monkeypatch, tmp_path):
 def test_fetch_convert_retry_is_idempotent(tmp_path):
     """A retried fetch task overwrites its own parts: two calls on the
     same batch into one round dir leave one docs, one chunks and one
-    frontier_next part, holding exactly the rows one call writes."""
+    frontier_next part, holding exactly the rows one call writes; with
+    the link rows split over three host buckets, two calls leave the
+    same, byte-identical part set."""
     import functools
     import glob
+    import os
 
     import pyarrow.parquet as pq
 
@@ -476,15 +509,36 @@ def test_fetch_convert_retry_is_idempotent(tmp_path):
         assert want.num_rows > 0
         assert pq.read_table(parts[0]).equals(want), kind
 
+    def part_bytes(rdir):
+        return {os.path.relpath(p, rdir): open(p, "rb").read()
+                for p in glob.glob(f"{rdir}/*/*.parquet")}
 
-def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
-    """A crawl runs one Ray Data execution for discovery plus two per
-    round (schedule, fetch), with or without the circuit breaker and
-    authority boost; a batch convert runs one.  Executions over a bare
-    input buffer (reading an already materialized dataset) are not
-    counted."""
+    spec6 = SiteSpec(n_hosts=6, pages_per_host=6)
+    spread = _scheduled_batch(spec6, n_hosts=6, n_pages=1)
+    kwargs = dict(web_factory=functools.partial(SyntheticWeb, spec6),
+                  max_depth=2, n_buckets=3)
+    first, second = str(tmp_path / "b3_first"), str(tmp_path / "b3_second")
+    fetch_convert_batch(spread, rdir=first, **kwargs)
+    for _ in range(2):
+        fetch_convert_batch(spread, rdir=second, **kwargs)
+    parts = part_bytes(first)
+    assert parts == part_bytes(second)
+    links = {p for p in parts if p.startswith("frontier_next")}
+    assert len({p.split(os.sep)[1].split("-")[0] for p in links}) > 1
+
+
+def test_round_is_one_execution(ray_session, tmp_path, monkeypatch):
+    """A crawl runs one Ray Data execution for discovery plus one per
+    round (schedule fold → streaming repartition → fetch), with or
+    without the circuit breaker and authority boost; with the breaker
+    off no round holds an all-to-all operator (no shuffle).  A batch
+    convert runs one execution.  Executions over a bare input buffer
+    (reading an already materialized dataset) are not counted."""
     import functools
 
+    from ray.data._internal.execution.interfaces import PhysicalOperator
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator)
     from ray.data._internal.execution.operators.input_data_buffer import (
         InputDataBuffer)
     from ray.data._internal.execution.streaming_executor import (
@@ -500,6 +554,10 @@ def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
         if not isinstance(dag, InputDataBuffer):
             dags.append(dag)
         return execute(self, dag, *args, **kwargs)
+
+    def operators(dag: PhysicalOperator) -> list:
+        return [dag] + [op for d in dag.input_dependencies
+                        for op in operators(d)]
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
     spec = SiteSpec(n_hosts=2, pages_per_host=12)
@@ -517,7 +575,11 @@ def test_round_is_two_executions(ray_session, tmp_path, monkeypatch):
                                run_cfg)
         assert result.rounds == 3
         assert all(m["scheduled"] > 0 for m in result.manifest)
-        assert len(dags) == 1 + 2 * result.rounds, name
+        assert len(dags) == 1 + result.rounds, name
+        # the breaker's host-tally fold is the one shuffle left
+        shuffles = [any(isinstance(op, AllToAllOperator)
+                        for op in operators(dag)) for dag in dags]
+        assert any(shuffles) == (run_cfg.breaker_threshold > 0), name
 
     dags.clear()
     urls = [spec.page_url(i, j) for i in range(2) for j in range(5)]

@@ -1,8 +1,8 @@
 """The crawl's URL-seen set as per-round runs per host bucket: the
 schedule fold's retry, a worker killed mid-schedule, resume without
 actors or key pushes, a resume with another ``seen_shards``, a fresh
-crawl into a used directory, and the keyed folds' schema-carrying
-output blocks."""
+crawl into a used directory, the frontier parts' host buckets, and the
+keyed folds' schema-carrying output blocks."""
 
 import functools
 import glob
@@ -38,11 +38,13 @@ def _read_keys(out_dir: str, kind: str, scheduled_only: bool = False):
     return keys
 
 
-def _frontier(spec, n_hosts=3, n_pages=6) -> pa.Table:
-    """Round-0-like frontier rows: every host's first pages, each twice
-    (an intra-round duplicate), tagged with bucket 0."""
+def _frontier(spec, out_dir: str, n_hosts=3, n_pages=6) -> str:
+    """Round-0-like frontier rows written as bucket 0's part of
+    ``out_dir``: every host's first pages, each twice (an intra-round
+    duplicate)."""
     from markdown_lab_ray.kernels.urls import url_seen_key
-    from markdown_lab_ray.pipelines.crawl import frontier_rows_to_table
+    from markdown_lab_ray.pipelines.crawl import (_write_part,
+                                                  frontier_rows_to_table)
 
     rows = [{"loc": spec.page_url(i, j), "lastmod": None,
              "changefreq": None, "priority": None, "host": spec.host(i),
@@ -50,7 +52,8 @@ def _frontier(spec, n_hosts=3, n_pages=6) -> pa.Table:
              url_seen_key(spec.page_url(i, j))}
             for i in range(n_hosts) for j in range(n_pages)]
     tbl = frontier_rows_to_table(rows + rows)
-    return tbl.append_column("_b", pa.array([0] * tbl.num_rows, pa.int64()))
+    _write_part(tbl, out_dir, tbl.column("seen_key"), prefix="b0")
+    return out_dir
 
 
 def test_schedule_fold_retry_rewrites_its_parts(tmp_path):
@@ -61,16 +64,19 @@ def test_schedule_fold_retry_rewrites_its_parts(tmp_path):
                                                   make_host_processor,
                                                   make_schedule_fold)
 
-    rows = _frontier(SPEC)
+    frontier = _frontier(SPEC, str(tmp_path / "frontier"))
+    bucket = pa.table({"b": [0]})
     step = make_host_processor(
         _LocalRobotsFactory(WEB), 2)
     out = str(tmp_path / "crawl")
-    first = make_schedule_fold(out, 0, step)(rows)
+    first = make_schedule_fold(out, 0, step, frontier)(bucket)
     files = {p: open(p, "rb").read() for p in glob.glob(
         f"{out}/rounds/round=0/**/*.*", recursive=True)}
     assert {os.path.relpath(p, out).split(os.sep)[2] for p in files} == {
         "schedule", "frontier_next", "seen"}
-    again = make_schedule_fold(out, 0, step)(rows)
+    assert {os.path.basename(p).split("-")[0] for p in files
+            if "frontier_next" in p} == {"b0"}
+    again = make_schedule_fold(out, 0, step, frontier)(bucket)
     assert again.equals(first)
     assert {p: open(p, "rb").read() for p in glob.glob(
         f"{out}/rounds/round=0/**/*.*", recursive=True)} == files
@@ -78,7 +84,7 @@ def test_schedule_fold_retry_rewrites_its_parts(tmp_path):
     assert first.num_rows == 3 * 2  # budget 2 per host, duplicates dropped
     marked = set(_read_keys(out, "seen"))
     assert marked == set(first.column("seen_key").to_pylist())
-    second = make_schedule_fold(out, 1, step)(rows)
+    second = make_schedule_fold(out, 1, step, frontier)(bucket)
     assert second.num_rows == 3 * 2
     assert not marked & set(second.column("seen_key").to_pylist())
 
@@ -168,26 +174,72 @@ def test_resume_keeps_the_recorded_bucket_count(ray_session, tmp_path):
 def test_fresh_crawl_ignores_an_earlier_crawls_rounds(ray_session,
                                                      tmp_path):
     """A fresh crawl (no resume) into a directory that holds an earlier,
-    longer crawl's rounds equals the same crawl into an empty one: the
-    earlier rounds' parts and seen runs do not leak in."""
+    longer crawl's rounds, or a crawl of other seeds, and a resume that
+    restarts at round 0 after a crawl of other seeds was killed in round
+    0, all equal the same crawl into an empty directory: the earlier
+    rounds' parts, seen runs and discovered frontier do not leak in."""
     from markdown_lab_ray.pipelines.crawl import (read_crawl_order,
                                                   run_crawl_ray)
 
-    used, empty = str(tmp_path / "used"), str(tmp_path / "empty")
-    run_crawl_ray(WEB, SPEC.seed_urls(), used, CFG)
+    seeds = SPEC.seed_urls()
     short = CFG.update(max_rounds=2, requests_per_second=0.1)
-    run_crawl_ray(WEB, SPEC.seed_urls(), used, short)
-    run_crawl_ray(WEB, SPEC.seed_urls(), empty, short)
+    used, other, killed, empty = (str(tmp_path / d) for d in
+                                  ("used", "other", "killed", "empty"))
+    run_crawl_ray(WEB, seeds, used, CFG)
+    run_crawl_ray(WEB, seeds, used, short)
+    assert len(glob.glob(f"{used}/rounds/round=*")) == 2
+    run_crawl_ray(WEB, seeds, empty, short)
     pd.testing.assert_frame_equal(read_crawl_order(used),
                                   read_crawl_order(empty))
-    assert len(glob.glob(f"{used}/rounds/round=*")) == 2
+
+    run_crawl_ray(WEB, seeds[2:], other, CFG)
+    run_crawl_ray(WEB, seeds[:2], other, CFG)
+    run_crawl_ray(WEB, seeds[2:], killed, CFG.update(max_rounds=1))
+    os.remove(f"{killed}/rounds/round=0/_MANIFEST.json")
+    run_crawl_ray(WEB, seeds[:2], killed, CFG, resume=True)
+    run_crawl_ray(WEB, seeds[:2], empty, CFG)
+    for d in (other, killed):
+        pd.testing.assert_frame_equal(read_crawl_order(d),
+                                      read_crawl_order(empty))
+        for kind in ("docs", "chunks"):
+            rows = [sorted(pq.read_table(f"{x}/rounds/round=0/{kind}")
+                           .to_pylist(), key=repr) for x in (d, empty)]
+            assert rows[0] == rows[1], (d, kind)
+
+
+def test_frontier_parts_hold_their_bucket_hosts(ray_session, tmp_path):
+    """After a ``seen_shards=3`` crawl every ``b<b>-*.parquet`` frontier
+    part, discovery's and each round's ``frontier_next/``, holds only
+    hosts of host bucket ``b``."""
+    from markdown_lab_ray.pipelines.crawl import run_crawl_ray
+    from markdown_lab_ray.stages.bucketing import key_buckets
+
+    out = str(tmp_path / "crawl")
+    result = run_crawl_ray(WEB, SPEC.seed_urls(), out, CFG)
+    dirs = [f"{out}/rounds/discovery"] + [
+        f"{out}/rounds/round={r}/frontier_next"
+        for r in range(result.rounds)]
+    seen_buckets = set()
+    for d in dirs:
+        parts = glob.glob(f"{d}/*.parquet")
+        assert parts, d
+        for part in parts:
+            name = os.path.basename(part)
+            assert name.startswith("b"), part
+            b = int(name[1:].split("-", 1)[0])
+            hosts = pq.read_table(part).column("host").to_numpy(
+                zero_copy_only=False)
+            assert set(key_buckets(hosts, 3)) == {b}, part
+            seen_buckets.add(b)
+    assert len(seen_buckets) > 1
 
 
 def test_crawl_and_health_log_no_schema_drift(ray_session, tmp_path):
-    """Every block the keyed folds emit carries its schema, empty ones
-    included: a crawl with the circuit breaker on (the schedule and the
-    breaker's host tally folds; some seeds discover nothing) and then
-    ``crawl_health`` log no "different schema" warning."""
+    """Every block the crawl's folds emit carries its schema, empty ones
+    included: a crawl with the circuit breaker on (the schedule folds,
+    whose buckets can schedule nothing, and the breaker's keyed host
+    tally fold; some seeds discover nothing) and then ``crawl_health``
+    log no "different schema" warning."""
     import logging
 
     from markdown_lab_ray.pipelines.crawl import crawl_health, run_crawl_ray
