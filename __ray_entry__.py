@@ -9115,16 +9115,21 @@ GROUP BY 1 ORDER BY 1
 # rounds the driver-verified set covers 100 distinct queries.  The 50
 # queries green in CORRECTNESS_r04 follow immediately after, unchanged;
 # the full registry stays verifiable any time via check_oracle.py.
+# When the graph operators moved onto ``keyed_fold``, nine graph queries
+# that no harness round had checked (frequent_pairs, part_hops,
+# degree_histogram, edge_reciprocity, part_clustering, part_assortativity,
+# pair_rules, sssp_parts, part_link_prediction) took the slots of nine
+# r05-verified queries whose code that change left alone.
 _ROUND5_ROTATION = [
-    "forecast_revenue_change", "returned_revenue",
-    "local_supplier_revenue", "promo_revenue", "markov_stationary",
-    "selectivity_estimate", "personalized_pagerank", "pagerank",
+    "frequent_pairs", "part_hops",
+    "degree_histogram", "edge_reciprocity", "markov_stationary",
+    "part_clustering", "personalized_pagerank", "pagerank",
     "hits", "part_kcore", "part_triangles", "semantic_dedup",
     "training_mixture", "dedup_spans", "weighted_sample_global",
-    "pareto_customers", "monthly_revenue_delta", "revenue_holt",
+    "part_assortativity", "pair_rules", "sssp_parts",
     "convert_payloads", "render_json_payloads", "render_xml_payloads",
     "dedup_keep_best", "new_documents", "source_dedup_yield",
-    "setsim_pairs", "setsim_clusters", "bm25", "zipf_slope",
+    "setsim_pairs", "setsim_clusters", "bm25", "part_link_prediction",
     "readability", "pmi_bigrams", "hapax_rate", "kmeans_assign",
     "kmeans_lloyd", "cluster_silhouette", "mmr_rerank",
     "hybrid_search", "density_clusters", "range_join_banded",

@@ -4548,8 +4548,19 @@ def percent_rank_table(ds, key_col: str = "event_type",
     (event types, languages); an unbounded-cardinality percent-rank
     would need the 2-pass histogram approach of ``stages/sketch.py``.
     Output: one row per input row (id, key, pr_micro, cume_micro).
+    A null ``value_col`` raises ``ValueError`` before the fold runs:
+    ``np.sort`` would rank it as NaN, last, where SQL ranks NULL by its
+    own rules.
     """
     import pandas as pd
+    from ray.data.aggregate import Count
+
+    ds = ds.materialize()  # read once: the null check, then the fold
+    n_null = ds.count() - ds.aggregate(
+        Count(value_col, ignore_nulls=True, alias_name="n"))["n"]
+    if n_null:
+        raise ValueError(
+            f"percent_rank_table: {n_null} rows with a null {value_col!r}")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         v = g[value_col].to_numpy(np.float64)

@@ -11,9 +11,12 @@ bucket, and the in-bucket groupby is exact.
 
 ``keyed_fold`` is that shuffle as one primitive (tag → sort shuffle on
 the bucket id → one fold call per bucket, every output block carrying
-the fold's schema); the breaker's host tally and ``crawl_health`` run
-on it.  The crawl's schedule needs none: its frontier parts are written
-per ``key_buckets`` bucket by the tasks that make them.
+the fold's schema, Arrow or pandas folds alike).  The breaker's host
+tally and ``crawl_health`` run on it with Arrow folds; the graph
+operators (``stages/graph.py``: co-occurrence, degree attach, wedges,
+histograms, association rules, link prediction, distinct nodes) with
+pandas folds.  The crawl's schedule needs none: its frontier parts are
+written per ``key_buckets`` bucket by the tasks that make them.
 
 Skew note: a single hot key still bounds a bucket's size from below;
 operators whose per-key work is superlinear (none of the current
@@ -91,22 +94,25 @@ def _tag_with_sentinels(batch: "pa.Table", key: str,
 
 
 def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
-               fn_kwargs: dict | None = None):
-    """The one keyed shuffle (the breaker's host tally, ``crawl_health``):
-    ``fold(rows, **fn_kwargs)`` runs once per bucket of
-    ``key_buckets(key, n_buckets)`` over ALL of that bucket's rows (an
-    Arrow table that still holds the ``_b`` column) and returns an Arrow
-    table, cast to ``schema``.  Every row of a key lands in one bucket,
-    so a fold may run an exact in-bucket ``group_by(key)``.
+               fn_kwargs: dict | None = None, batch_format: str = "pyarrow"):
+    """The one keyed shuffle: ``fold(rows, **fn_kwargs)`` runs once per
+    bucket of ``key_buckets(key, n_buckets)`` over ALL of that bucket's
+    rows and its result is cast to ``schema``.  ``batch_format`` is Ray's
+    own: ``"pyarrow"`` folds take and return Arrow tables (the crawl's
+    host tally and ``crawl_health``), ``"pandas"`` folds DataFrames (the
+    graph operators).  Every row of a key lands in one bucket, so a fold
+    may run an exact in-bucket ``groupby(key)``.
 
-    The transport is Ray Data's sort shuffle on ``_b`` with one
-    partition per bucket (explicit boundaries: no sampling pass).  Ray
-    Data runs no map function on an empty block and emits it
-    column-less, and an empty partition is such a block, so each tag
-    task adds one all-null sentinel row per bucket (dropped before
-    ``fold``): no partition is empty, and every output block, empty ones
-    included, carries ``schema``.  The fold's operator is named after
-    ``fold``."""
+    The transport is Ray Data's sort shuffle on the bucket id ``_b`` with
+    one partition per bucket (explicit boundaries: no sampling pass);
+    ``_b`` is dropped before ``fold``.  Ray Data runs no map function on
+    an empty block and emits it column-less, so an empty block makes the
+    next map (a chained fold's tag stage, say) log "different schema".
+    Hence no partition is empty (each tag task adds one all-null
+    sentinel row per bucket, dropped before ``fold``), and the result is
+    returned materialized without its empty blocks (a partition whose
+    fold returned no rows), unless every block is empty.  Every block
+    carries ``schema``.  The fold's operator is named after ``fold``."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -117,10 +123,16 @@ def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
         cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
         outs = []
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(b)]):
-            rows = block.slice(lo, hi - lo)
+            rows = block.slice(lo, hi - lo).drop_columns(["_b"])
             rows = rows.filter(pc.is_valid(rows.column(key)))
-            if rows.num_rows:
-                outs.append(conform(fold(rows, **kwargs), schema))
+            if not rows.num_rows:
+                continue
+            if batch_format == "pandas":
+                out = pa.Table.from_pandas(fold(rows.to_pandas(), **kwargs),
+                                           preserve_index=False)
+            else:
+                out = fold(rows, **kwargs)
+            outs.append(conform(out, schema))
         return pa.concat_tables(outs) if outs else schema.empty_table()
 
     run.__name__ = getattr(fold, "__name__", "keyed_fold")
@@ -128,5 +140,23 @@ def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
                             fn_kwargs=dict(key=key, n_buckets=n_buckets))
     shuffled = (tagged.sort("_b", boundaries=list(range(1, n_buckets)))
                 if n_buckets > 1 else tagged.repartition(1))
-    return shuffled.map_batches(run, batch_format="pyarrow", batch_size=None,
-                                zero_copy_batch=True)
+    return _drop_empty_blocks(shuffled.map_batches(
+        run, batch_format="pyarrow", batch_size=None, zero_copy_batch=True))
+
+
+def _drop_empty_blocks(ds):
+    """``ds`` materialized, without its empty blocks unless all are empty
+    (then a map reading them emits only column-less blocks, which no
+    schema'd block precedes).  Only a Dataset that had empty blocks is
+    rebuilt from its block refs (one small metadata task per block)."""
+    import ray.data as rd
+
+    ds = ds.materialize()
+    refs, n_empty = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                refs.append(ref)
+            else:
+                n_empty += 1
+    return rd.from_arrow_refs(refs) if refs and n_empty else ds

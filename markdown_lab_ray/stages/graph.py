@@ -39,9 +39,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .bucketing import tag_buckets_batch
-
+from .bucketing import keyed_fold
 from .joins import bucketed_hash_join
+
+
+def _int64s(*names: str) -> pa.Schema:
+    return pa.schema([(n, pa.int64()) for n in names])
 
 
 def _rename(ds, mapping: dict):
@@ -50,21 +53,27 @@ def _rename(ds, mapping: dict):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def distinct_nodes(edges_ds):
-    """Distinct node set of an edge list as a Dataset (one keyed
-    shuffle — never ``unique()`` which returns to the driver)."""
-    from ray.data.aggregate import Count
+def _unique_nodes(rows: pa.Table) -> pa.Table:
+    import pyarrow.compute as pc
 
-    srcs = edges_ds.map_batches(
-        lambda b: pa.table({"node": b.column("src")}),
+    return pa.table({"node": pc.unique(rows.column("node"))})
+
+
+def distinct_nodes(edges_ds, n_buckets: int = 32):
+    """Distinct node set of a MATERIALIZED (src, dst) edge list as a
+    Dataset (one keyed fold on the node — never ``unique()``, which
+    returns to the driver).  The node column takes the ``src`` type,
+    read off the materialized blocks' metadata: on a lazy Dataset
+    ``.schema()`` would execute its lineage."""
+    schema = edges_ds.schema()
+    node_type = schema.types[schema.names.index("src")]
+    ends = edges_ds.map_batches(
+        lambda b: pa.table({"node": pa.concat_arrays(
+            [b.column("src").combine_chunks(),
+             b.column("dst").combine_chunks()])}),
         batch_format="pyarrow")
-    dsts = edges_ds.map_batches(
-        lambda b: pa.table({"node": b.column("dst")}),
-        batch_format="pyarrow")
-    return (srcs.union(dsts)
-            .groupby("node").aggregate(Count(alias_name="__n"))
-            .map_batches(lambda b: b.select(["node"]),
-                         batch_format="pyarrow"))
+    return keyed_fold(ends, "node", _unique_nodes, n_buckets=n_buckets,
+                      schema=pa.schema([("node", node_type)]))
 
 
 def pagerank_integer(edges_ds, n_iter: int = 3, scale: int = 10 ** 9,
@@ -89,22 +98,24 @@ def pagerank_integer(edges_ds, n_iter: int = 3, scale: int = 10 ** 9,
 
     base = (scale * (100 - damping_pct)) // 100
 
+    def check_bound(n_nodes: int) -> None:
+        # enforce the documented int64 bound: worst-case a node receives
+        # every node's full damped rank, so n_nodes * scale * 100 must
+        # fit int64 — numpy would WRAP silently past it (ADVICE r03).
+        # Raised on the DRIVER: a RayTaskError wrapper would break callers
+        if n_nodes * scale * 100 >= 2 ** 63:
+            max_scale = (2 ** 63) // (100 * max(n_nodes, 1))
+            raise ValueError(
+                f"pagerank_integer overflow risk: {n_nodes} nodes at "
+                f"scale={scale} exceeds int64 (n*scale*100 >= 2^63); "
+                f"pass scale <= {max_scale}")
+
     # checkpoint the edge list once: outdeg, the deg-join and the
     # node distinct all fan out from it, and a lazy upstream (e.g. a
     # join building the edges) would otherwise re-execute per consumer
     edges_ds = edges_ds.materialize()
 
     if 0 < edges_ds.count() <= small_cutoff:
-        # bound check on the DRIVER (same ValueError contract as the
-        # loop path — a RayTaskError wrapper would break callers)
-        n_nodes_small = distinct_nodes(edges_ds).count()
-        if n_nodes_small * scale * 100 >= 2 ** 63:
-            max_scale = (2 ** 63) // (100 * max(n_nodes_small, 1))
-            raise ValueError(
-                f"pagerank_integer overflow risk: {n_nodes_small} nodes "
-                f"at scale={scale} exceeds int64 (n*scale*100 >= 2^63); "
-                f"pass scale <= {max_scale}")
-
         def local_pr(batch: pa.Table) -> pa.Table:
             src = batch.column("src").to_numpy(zero_copy_only=False)
             dst = batch.column("dst").to_numpy(zero_copy_only=False)
@@ -125,10 +136,14 @@ def pagerank_integer(edges_ds, n_iter: int = 3, scale: int = 10 ** 9,
             return pa.table({"node": pa.array(nodes_arr),
                              "rank": pa.array(rank, pa.int64())})
 
-        return (edges_ds.repartition(1)
-                .map_batches(local_pr, batch_format="pyarrow",
-                             batch_size=None)  # whole block, never split
-                .materialize())
+        ranks = (edges_ds.repartition(1)
+                 .map_batches(local_pr, batch_format="pyarrow",
+                              batch_size=None)  # whole block, never split
+                 .materialize())
+        # one row per node: the bound is checked on the result, so no
+        # node-set shuffle runs ahead of the one-task kernel
+        check_bound(ranks.count())
+        return ranks
 
     outdeg = edges_ds.groupby("src").aggregate(Count(alias_name="outdeg"))
     # (src, dst, outdeg) — built once, checkpointed for the loop
@@ -136,18 +151,8 @@ def pagerank_integer(edges_ds, n_iter: int = 3, scale: int = 10 ** 9,
         edges_ds, outdeg, key="src",
         n_buckets=n_buckets).repartition(n_buckets).materialize()
 
-    nodes = distinct_nodes(edges_ds).repartition(n_buckets).materialize()
-
-    # enforce the documented int64 bound: worst-case a node receives
-    # every node's full damped rank, so n_nodes * scale * 100 must fit
-    # int64 — numpy would WRAP silently past it (ADVICE r03)
-    n_nodes = nodes.count()
-    if n_nodes * scale * 100 >= 2 ** 63:
-        max_scale = (2 ** 63) // (100 * max(n_nodes, 1))
-        raise ValueError(
-            f"pagerank_integer overflow risk: {n_nodes} nodes at "
-            f"scale={scale} exceeds int64 (n*scale*100 >= 2^63); "
-            f"pass scale <= {max_scale}")
+    nodes = distinct_nodes(edges_ds, n_buckets)
+    check_bound(nodes.count())
 
     ranks = nodes.map_batches(
         lambda b: b.append_column(
@@ -197,22 +202,28 @@ def pagerank_integer(edges_ds, n_iter: int = 3, scale: int = 10 ** 9,
     return ranks
 
 
+def _baskets(ds, group_col: str, item_col: str):
+    """Per-batch distinct (group, item) rows: the combiner in front of
+    every basket fold below."""
+    return ds.map_batches(
+        lambda df: df[[group_col, item_col]].drop_duplicates(),
+        batch_format="pandas")
+
+
 def cooccurrence_edges(ds, group_col: str, item_col: str,
                        n_buckets: int = 64):
     """Distinct undirected co-occurrence edges (u < v) between items
     sharing a group (parts in the same order, tags on the same page).
 
-    Scale shape: per-batch (group, item) dedup, ONE bucketed shuffle on
-    hash(group) where each bucket self-merges per group (vectorized —
-    a group with g items emits C(g,2) pairs, so skewed groups need the
-    usual cap upstream; order baskets are small by nature), then ONE
-    bucketed shuffle on hash(u) whose in-bucket drop_duplicates is a
-    GLOBAL distinct (every copy of (u, v) hashes to u's bucket).
-    Output stays bucketed by u for downstream joins.
+    Scale shape: per-batch (group, item) dedup, ONE keyed fold on the
+    group where each bucket self-merges per group (vectorized — a group
+    with g items emits C(g,2) pairs, so skewed groups need the usual cap
+    upstream; order baskets are small by nature), then ONE keyed fold on
+    u whose in-bucket drop_duplicates is a GLOBAL distinct (every copy
+    of (u, v) hashes to u's bucket).  Output (u, v), int64 items,
+    stays bucketed by u for downstream joins.
     """
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     def pairs(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g[[group_col, item_col]].drop_duplicates()
@@ -227,32 +238,24 @@ def cooccurrence_edges(ds, group_col: str, item_col: str,
     def distinct(g: "pd.DataFrame") -> "pd.DataFrame":
         return (g[["u", "v"]].drop_duplicates().reset_index(drop=True))
 
-    slim = ds.map_batches(
-        lambda df: df[[group_col, item_col]].drop_duplicates(),
-        batch_format="pandas")
-    tagged = slim.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=group_col, n_buckets=n_buckets))
-    raw_pairs = tagged.groupby("_b").map_groups(pairs,
-                                                batch_format="pandas")
-    by_u = raw_pairs.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="u", n_buckets=n_buckets))
-    return by_u.groupby("_b").map_groups(distinct, batch_format="pandas")
+    uv = _int64s("u", "v")
+    raw_pairs = keyed_fold(_baskets(ds, group_col, item_col), group_col,
+                           pairs, n_buckets=n_buckets, schema=uv,
+                           batch_format="pandas")
+    return keyed_fold(raw_pairs, "u", distinct, n_buckets=n_buckets,
+                      schema=uv, batch_format="pandas")
 
 
 def _merge_on_node(edges_ds, deg_ds, node_col: str, out_col: str,
                    n_buckets: int, edge_cols: list):
-    """Attach ``deg`` to ``edges_ds[node_col]`` with one bucketed
-    shuffle: union the two row kinds on hash(node) and merge inside the
-    bucket (the joins.py pattern, inlined for the all-int64 case).
-    ``edge_cols`` is passed explicitly — calling ``.schema()`` on a
-    lazy Dataset triggers a limit-1 execution of its whole lineage
-    (sorts can't short-circuit), which tripled this operator's
-    wall-time before it was removed."""
+    """Attach ``deg`` to ``edges_ds[node_col]`` with one keyed fold on
+    the node: union the two row kinds and merge inside the bucket (the
+    joins.py pattern, inlined for the all-int64 case).  ``edge_cols`` is
+    passed explicitly — calling ``.schema()`` on a lazy Dataset triggers
+    a limit-1 execution of its whole lineage (sorts can't
+    short-circuit), which tripled this operator's wall-time before it
+    was removed."""
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     def tag_edges(df: "pd.DataFrame") -> "pd.DataFrame":
         out = df.copy()
@@ -277,10 +280,100 @@ def _merge_on_node(edges_ds, deg_ds, node_col: str, out_col: str,
 
     union = (edges_ds.map_batches(tag_edges, batch_format="pandas")
              .union(deg_ds.map_batches(tag_deg, batch_format="pandas")))
-    tagged = union.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="_node", n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(merge, batch_format="pandas")
+    return keyed_fold(union, "_node", merge, n_buckets=n_buckets,
+                      schema=_int64s(*edge_cols, out_col),
+                      batch_format="pandas")
+
+
+def _explode_degrees(b: pa.Table) -> pa.Table:
+    """Per-batch (node, deg) partials of a (u, v) edge batch."""
+    nodes = pa.concat_arrays([b.column("u").combine_chunks(),
+                              b.column("v").combine_chunks()]
+                             ).to_numpy(zero_copy_only=False)
+    u, c = np.unique(nodes, return_counts=True)
+    return pa.table({"node": pa.array(u, pa.int64()),
+                     "deg": pa.array(c.astype(np.int64), pa.int64())})
+
+
+def _sum_degrees(g: "pd.DataFrame") -> "pd.DataFrame":
+    return (g.groupby("node", sort=False)["deg"].sum()
+            .astype("int64").reset_index())
+
+
+def _degree_attach(edges_ds, n_buckets: int):
+    """``(deg, edges)`` of a distinct (u < v) int64 edge list: ``deg``
+    is (node, deg), one keyed Sum of per-batch degree partials, and
+    ``edges`` is (u, v, deg_u, deg_v), one ``_merge_on_node`` per
+    endpoint.  Both are materialized (``keyed_fold`` returns them so)."""
+    deg = keyed_fold(edges_ds.map_batches(_explode_degrees,
+                                          batch_format="pyarrow"),
+                     "node", _sum_degrees, n_buckets=n_buckets,
+                     schema=_int64s("node", "deg"), batch_format="pandas")
+    with_du = _merge_on_node(edges_ds, deg, "u", "deg_u", n_buckets,
+                             edge_cols=["u", "v"])
+    return deg, _merge_on_node(with_du, deg, "v", "deg_v", n_buckets,
+                               edge_cols=["u", "v", "deg_u"])
+
+
+def _orient(b: pa.Table) -> pa.Table:
+    """Each edge from its (degree, id)-smaller endpoint to the larger:
+    (src, dst, deg_dst)."""
+    u, v, du, dv = (b.column(c).to_numpy()
+                    for c in ("u", "v", "deg_u", "deg_v"))
+    u_first = (du < dv) | ((du == dv) & (u < v))
+    return pa.table({"src": np.where(u_first, u, v),
+                     "dst": np.where(u_first, v, u),
+                     "deg_dst": np.where(u_first, dv, du)})
+
+
+def _wedges(g: "pd.DataFrame") -> "pd.DataFrame":
+    """Every wedge (w_src, x, y) of each oriented source: its
+    out-neighbour pairs in (degree, id) order, so a pair matches its
+    closing edge's orientation.  ``_kind`` 0 marks a wedge row."""
+    import pandas as pd
+
+    srcs, xs, ys = [], [], []
+    for s, grp in g.groupby("src", sort=False):
+        nbr = grp[["dst", "deg_dst"]].to_numpy()
+        order = np.lexsort((nbr[:, 0], nbr[:, 1]))
+        d = nbr[order, 0]
+        n = len(d)
+        if n < 2:
+            continue
+        i, j = np.triu_indices(n, 1)
+        srcs.append(np.full(len(i), s, dtype=np.int64))
+        xs.append(d[i])
+        ys.append(d[j])
+    if not xs:
+        return pd.DataFrame()
+    return pd.DataFrame({"w_src": np.concatenate(srcs),
+                         "x": np.concatenate(xs).astype(np.int64),
+                         "y": np.concatenate(ys).astype(np.int64),
+                         "_kind": np.int64(0)})
+
+
+def _closing_rows(edges_ds, n_buckets: int):
+    """``(deg, rows)`` of a distinct (u < v) int64 edge list: its
+    degrees (``_degree_attach``) and, for one keyed fold on x, every
+    wedge (w_src, x, y, _kind 0) of the degree-oriented graph plus every
+    oriented edge (x, y, _kind 1).  A wedge is a triangle iff its
+    closing edge (x, y) exists, and both land in x's bucket.  The
+    orientation bounds every out-degree by O(sqrt(E)), so the wedge
+    stream (sum of out-deg²) is the big intermediate and flows through
+    one shuffle keyed on src."""
+    deg, with_deg = _degree_attach(edges_ds, n_buckets)
+    oriented = with_deg.map_batches(_orient,
+                                    batch_format="pyarrow").materialize()
+    wedges = keyed_fold(oriented, "src", _wedges, n_buckets=n_buckets,
+                        schema=_int64s("w_src", "x", "y", "_kind"),
+                        batch_format="pandas")
+    edge_rows = oriented.map_batches(
+        lambda b: pa.table({
+            "w_src": pa.array(np.zeros(b.num_rows, np.int64)),
+            "x": b.column("src"), "y": b.column("dst"),
+            "_kind": pa.array(np.ones(b.num_rows, np.int64))}),
+        batch_format="pyarrow")
+    return deg, wedges.union(edge_rows)
 
 
 def triangle_count(edges_ds, n_buckets: int = 64,
@@ -294,15 +387,11 @@ def triangle_count(edges_ds, n_buckets: int = 64,
     the larger, which bounds every out-degree by O(sqrt(E)); each
     source then emits its out-neighbor pairs as wedges (x, y) ordered
     by the same total order, and a wedge is a triangle iff the
-    oriented edge (x, y) exists.  All joins are the union-then-merge
-    bucketed pattern; the only driver data is the per-bucket partial
-    counts.  At 100-TB scale the wedge stream is the big intermediate
-    (sum of out-deg²) — it flows through one shuffle keyed on x and is
-    never materialized wider.
+    oriented edge (x, y) exists (``_closing_rows``).  Every join is a
+    keyed fold over the union of both row kinds; the only driver data
+    is the per-bucket partial counts.
     """
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     edges_ds = edges_ds.materialize()  # reused three times below
 
@@ -345,88 +434,15 @@ def triangle_count(edges_ds, n_buckets: int = 64,
                             batch_size=small_cutoff + 1).to_pandas())
         return int(out["n"].sum())
 
-    def explode_partial(b: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([b.column("u").combine_chunks(),
-                                  b.column("v").combine_chunks()]
-                                 ).to_numpy(zero_copy_only=False)
-        u, c = np.unique(nodes, return_counts=True)
-        t = pa.table({"node": pa.array(u, pa.int64()),
-                      "deg": pa.array(c.astype(np.int64), pa.int64())})
-        return t
-
-    def sum_deg(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (g.groupby("node", sort=False)["deg"].sum()
-               .astype("int64").reset_index())
-        return out
-
-    part = edges_ds.map_batches(explode_partial, batch_format="pyarrow")
-    tagged = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="node", n_buckets=n_buckets))
-    deg = tagged.groupby("_b").map_groups(
-        sum_deg, batch_format="pandas").materialize()
-
-    with_du = _merge_on_node(edges_ds, deg, "u", "deg_u", n_buckets,
-                             edge_cols=["u", "v"])
-    with_both = _merge_on_node(with_du, deg, "v", "deg_v", n_buckets,
-                               edge_cols=["u", "v", "deg_u"])
-
-    def orient(df: "pd.DataFrame") -> "pd.DataFrame":
-        u, v = df["u"].to_numpy(), df["v"].to_numpy()
-        du, dv = df["deg_u"].to_numpy(), df["deg_v"].to_numpy()
-        u_first = (du < dv) | ((du == dv) & (u < v))
-        return pd.DataFrame({
-            "src": np.where(u_first, u, v),
-            "dst": np.where(u_first, v, u),
-            "deg_dst": np.where(u_first, dv, du).astype(np.int64),
-        })
-
-    oriented = with_both.map_batches(orient,
-                                     batch_format="pandas").materialize()
-
-    def wedges(g: "pd.DataFrame") -> "pd.DataFrame":
-        xs, ys = [], []
-        for _, grp in g.groupby("src", sort=False):
-            nbr = grp[["dst", "deg_dst"]].to_numpy()
-            order = np.lexsort((nbr[:, 0], nbr[:, 1]))
-            d = nbr[order, 0]
-            n = len(d)
-            if n < 2:
-                continue
-            i, j = np.triu_indices(n, 1)
-            xs.append(d[i])
-            ys.append(d[j])
-        if not xs:
-            return pd.DataFrame({"x": pd.Series([], dtype="int64"),
-                                 "y": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"x": np.concatenate(xs).astype(np.int64),
-                             "y": np.concatenate(ys).astype(np.int64)})
-
-    by_src = oriented.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="src", n_buckets=n_buckets))
-    wedge_ds = by_src.groupby("_b").map_groups(wedges,
-                                               batch_format="pandas")
-
     def close_count(g: "pd.DataFrame") -> "pd.DataFrame":
         e = (g[g["_kind"] == 1][["x", "y"]].drop_duplicates())
         w = g[g["_kind"] == 0][["x", "y"]]
         n = len(w.merge(e, on=["x", "y"]))
         return pd.DataFrame({"n": [np.int64(n)]})
 
-    wedge_rows = wedge_ds.map_batches(
-        lambda df: df.assign(_kind=np.int64(0)), batch_format="pandas")
-    edge_rows = oriented.map_batches(
-        lambda df: pd.DataFrame({"x": df["src"].astype("int64"),
-                                 "y": df["dst"].astype("int64"),
-                                 "_kind": np.int64(1)}),
-        batch_format="pandas")
-    union = wedge_rows.union(edge_rows)
-    tagged = union.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="x", n_buckets=n_buckets))
-    partials = tagged.groupby("_b").map_groups(close_count,
-                                               batch_format="pandas")
+    _, rows = _closing_rows(edges_ds, n_buckets)
+    partials = keyed_fold(rows, "x", close_count, n_buckets=n_buckets,
+                          schema=_int64s("n"), batch_format="pandas")
     return int(partials.to_pandas()["n"].sum())
 
 
@@ -436,15 +452,13 @@ def cooccurrence_counts(ds, group_col: str, item_col: str,
     candidate-pair step of market-basket analysis): per-group distinct
     pairs counted across all groups, kept when support ≥ threshold.
 
-    Scale shape: same two shuffles as ``cooccurrence_edges``, but the
-    second bucket (keyed on hash(u) — every copy of (u, v) lands
-    together) aggregates pair counts vectorized instead of
-    deduplicating; the support filter prunes inside the bucket, so
-    only frequent pairs ever leave it.  Output: (u, v, n int64).
+    Scale shape: same two keyed folds as ``cooccurrence_edges``, but the
+    second (keyed on u — every copy of (u, v) lands together) aggregates
+    pair counts vectorized instead of deduplicating; the support filter
+    prunes inside the bucket, so only frequent pairs ever leave it.
+    Output: (u, v, n), all int64.
     """
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
@@ -465,17 +479,11 @@ def cooccurrence_counts(ds, group_col: str, item_col: str,
                .astype("int64").reset_index())
         return out[out["n"] >= min_support].reset_index(drop=True)
 
-    slim = ds.map_batches(
-        lambda df: df[[group_col, item_col]].drop_duplicates(),
-        batch_format="pandas")
-    tagged = slim.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=group_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(pairs, batch_format="pandas")
-    by_u = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="u", n_buckets=n_buckets))
-    return by_u.groupby("_b").map_groups(support, batch_format="pandas")
+    uvn = _int64s("u", "v", "n")
+    part = keyed_fold(_baskets(ds, group_col, item_col), group_col, pairs,
+                      n_buckets=n_buckets, schema=uvn, batch_format="pandas")
+    return keyed_fold(part, "u", support, n_buckets=n_buckets, schema=uvn,
+                      batch_format="pandas")
 
 
 def bfs_hops(edges_ds, seeds, max_hops: int = 3, n_buckets: int = 32,
@@ -583,22 +591,13 @@ def degree_histogram(ds, node_col: str, neigh_col: str,
     shape diagnostic that separates a power-law link graph from a
     uniform one (and flags super-nodes before they skew a shuffle).
 
-    Scale shape: per-batch pair dedup (a true combiner), ONE bucketed
-    node shuffle, in-bucket exact distinct counts, then per-bucket
-    (degree, n) partials into a native groupby whose key space is the
-    bounded degree range — raw pairs cross the wire once.
+    Scale shape: per-batch pair dedup (a true combiner), ONE keyed fold
+    on the node with in-bucket exact distinct counts, then per-bucket
+    (degree, n) partials into a keyed fold on the degree, whose key
+    space is the bounded degree range — raw pairs cross the wire once.
     Output: (degree int64, n_nodes int64).
     """
     import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    from .bucketing import key_buckets
-
-    def dedup_partial(df: "pd.DataFrame") -> "pd.DataFrame":
-        out = df[[node_col, neigh_col]].drop_duplicates()
-        return out.assign(_b=key_buckets(out[node_col].to_numpy(),
-                                         n_buckets))
 
     def degrees(g: "pd.DataFrame") -> "pd.DataFrame":
         deg = (g.drop_duplicates([node_col, neigh_col])
@@ -608,11 +607,16 @@ def degree_histogram(ds, node_col: str, neigh_col: str,
             "degree": part.index.to_numpy(np.int64),
             "_n": part.to_numpy(np.int64)})
 
-    part = (ds.map_batches(dedup_partial, batch_format="pandas")
-            .groupby("_b").map_groups(degrees, batch_format="pandas"))
-    out = part.groupby("degree").aggregate(Sum("_n", alias_name="n_nodes"))
-    return out.map_batches(lambda df: df.astype({"n_nodes": "int64"}),
-                           batch_format="pandas")
+    def total(g: "pd.DataFrame") -> "pd.DataFrame":
+        return (g.groupby("degree", sort=False)["_n"].sum()
+                .rename("n_nodes").reset_index())
+
+    part = keyed_fold(_baskets(ds, node_col, neigh_col), node_col, degrees,
+                      n_buckets=n_buckets, schema=_int64s("degree", "_n"),
+                      batch_format="pandas")
+    return keyed_fold(part, "degree", total, n_buckets=n_buckets,
+                      schema=_int64s("degree", "n_nodes"),
+                      batch_format="pandas")
 
 
 def edge_reciprocity(edges_ds, src_col: str = "from_type",
@@ -622,18 +626,16 @@ def edge_reciprocity(edges_ds, src_col: str = "from_type",
     mutuality score of a transition / follow / link graph.
 
     Scale shape: each directed edge maps to its undirected key
-    (lo, hi) plus a direction bit; ONE bucketed shuffle on the
-    undirected key co-locates both directions, the in-bucket fold
-    counts pairs with both bits present, and only O(buckets) partial
-    rows reach the final single-task finish.  Input edges must be
-    DISTINCT (e.g. ``event_transitions`` output).
+    (lo, hi) plus a direction bit; ONE keyed fold on the undirected
+    key co-locates both directions, the in-bucket fold counts pairs
+    with both bits present, and only O(buckets) partial rows reach the
+    final single-task finish.  Input edges must be DISTINCT (e.g.
+    ``event_transitions`` output).
     Output: one row (n_edges, n_reciprocal, reciprocity 6-dp).
     """
     import pandas as pd
 
-    from .bucketing import key_buckets
-
-    def tag(df: "pd.DataFrame") -> "pd.DataFrame":
+    def undirected(df: "pd.DataFrame") -> "pd.DataFrame":
         a = df[src_col].astype(str)
         b = df[dst_col].astype(str)
         keep = (a != b).to_numpy()
@@ -643,8 +645,7 @@ def edge_reciprocity(edges_ds, src_col: str = "from_type",
         fwd = (a <= b).to_numpy()
         # "string" dtype (not object) so Ray can size zero-row blocks
         ukey = (pd.Series(lo) + "\x1f" + pd.Series(hi)).astype("string")
-        return pd.DataFrame({"_u": ukey, "_fwd": fwd,
-                             "_b": key_buckets(ukey.to_numpy(), n_buckets)})
+        return pd.DataFrame({"_u": ukey, "_fwd": fwd})
 
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
         per = g.groupby("_u", sort=False)["_fwd"].agg(["size", "sum"])
@@ -655,7 +656,6 @@ def edge_reciprocity(edges_ds, src_col: str = "from_type",
                              "_recip": pd.array([2 * both], dtype="int64")})
 
     def finish(b: pa.Table) -> pa.Table:
-        import pandas as pd
         df = b.to_pandas()
         n_edges = int(df["_edges"].sum())
         n_recip = int(df["_recip"].sum())
@@ -664,8 +664,10 @@ def edge_reciprocity(edges_ds, src_col: str = "from_type",
                          "n_reciprocal": pa.array([n_recip], pa.int64()),
                          "reciprocity": pa.array([frac], pa.float64())})
 
-    part = (edges_ds.map_batches(tag, batch_format="pandas")
-            .groupby("_b").map_groups(fold, batch_format="pandas"))
+    part = keyed_fold(edges_ds.map_batches(undirected, batch_format="pandas"),
+                      "_u", fold, n_buckets=n_buckets,
+                      schema=_int64s("_edges", "_recip"),
+                      batch_format="pandas")
     return part.repartition(1).map_batches(finish, batch_format="pyarrow")
 
 
@@ -742,7 +744,7 @@ def hits_integer(edges_ds, n_iter: int = 2, scale: int = 10 ** 6,
                 .materialize())
 
     edges = edges_ds.repartition(n_buckets).materialize()
-    nodes = distinct_nodes(edges_ds).repartition(n_buckets).materialize()
+    nodes = distinct_nodes(edges_ds, n_buckets)
     node_zeros = nodes.map_batches(
         lambda b: pa.table({
             "node": b.column("node"),
@@ -887,13 +889,12 @@ def clustering_coefficient(edges_ds, n_buckets: int = 64,
 
     Same degree-ordered wedge machinery as ``triangle_count`` — every
     out-degree bounded by O(sqrt(E)) — but each closed wedge credits
-    all THREE corners, so the close step explodes (src, x, y) node
-    rows instead of a scalar and one more keyed Sum folds them into
-    per-node triangle counts.  The coefficient itself rides the
-    degree merge: one final bucketed join, double math pinned to the
-    SQL twin's expression tree ``floor(2e6·T/(d·(d−1)) + 0.5)``
-    (deg < 2 scores 0).  Output: (node, deg, tri, coef_micro), all
-    int64.
+    all THREE corners, so the close step emits per-node triangle
+    partials instead of a scalar.  They meet the degree rows in one
+    final keyed fold on the node, which sums them and computes the
+    coefficient, double math pinned to the SQL twin's expression tree
+    ``floor(2e6·T/(d·(d−1)) + 0.5)`` (deg < 2 scores 0).  Output:
+    (node, deg, tri, coef_micro), all int64.
 
     Small-graph fast path (the per-group-overhead rule, SURVEY
     §2.11): under ``small_cutoff`` edges the whole thing — orient,
@@ -901,10 +902,6 @@ def clustering_coefficient(edges_ds, n_buckets: int = 64,
     distributed path (exact integers either way).
     """
     import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    from .bucketing import key_buckets
 
     edges_ds = edges_ds.materialize()
 
@@ -962,114 +959,25 @@ def clustering_coefficient(edges_ds, n_buckets: int = 64,
             local_cc, batch_format="pyarrow",
             batch_size=small_cutoff + 1)
 
-    def explode_partial(b: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([b.column("u").combine_chunks(),
-                                  b.column("v").combine_chunks()]
-                                 ).to_numpy(zero_copy_only=False)
-        u, c = np.unique(nodes, return_counts=True)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "deg": pa.array(c.astype(np.int64), pa.int64())})
-
-    def sum_deg(g: "pd.DataFrame") -> "pd.DataFrame":
-        return (g.groupby("node", sort=False)["deg"].sum()
-                .astype("int64").reset_index())
-
-    part = edges_ds.map_batches(explode_partial, batch_format="pyarrow")
-    tagged = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="node", n_buckets=n_buckets))
-    deg = tagged.groupby("_b").map_groups(
-        sum_deg, batch_format="pandas").materialize()
-
-    with_du = _merge_on_node(edges_ds, deg, "u", "deg_u", n_buckets,
-                             edge_cols=["u", "v"])
-    with_both = _merge_on_node(with_du, deg, "v", "deg_v", n_buckets,
-                               edge_cols=["u", "v", "deg_u"])
-
-    def orient(df: "pd.DataFrame") -> "pd.DataFrame":
-        u, v = df["u"].to_numpy(), df["v"].to_numpy()
-        du, dv = df["deg_u"].to_numpy(), df["deg_v"].to_numpy()
-        u_first = (du < dv) | ((du == dv) & (u < v))
-        return pd.DataFrame({
-            "src": np.where(u_first, u, v),
-            "dst": np.where(u_first, v, u),
-            "deg_dst": np.where(u_first, dv, du).astype(np.int64),
-        })
-
-    oriented = with_both.map_batches(orient,
-                                     batch_format="pandas").materialize()
-
-    def wedges(g: "pd.DataFrame") -> "pd.DataFrame":
-        srcs, xs, ys = [], [], []
-        for s, grp in g.groupby("src", sort=False):
-            nbr = grp[["dst", "deg_dst"]].to_numpy()
-            order = np.lexsort((nbr[:, 0], nbr[:, 1]))
-            d = nbr[order, 0]
-            n = len(d)
-            if n < 2:
-                continue
-            i, j = np.triu_indices(n, 1)
-            srcs.append(np.full(len(i), s, dtype=np.int64))
-            xs.append(d[i])
-            ys.append(d[j])
-        if not xs:
-            return pd.DataFrame({"w_src": pd.Series([], dtype="int64"),
-                                 "x": pd.Series([], dtype="int64"),
-                                 "y": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"w_src": np.concatenate(srcs),
-                             "x": np.concatenate(xs).astype(np.int64),
-                             "y": np.concatenate(ys).astype(np.int64)})
-
-    by_src = oriented.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="src", n_buckets=n_buckets))
-    wedge_ds = by_src.groupby("_b").map_groups(wedges,
-                                               batch_format="pandas")
-
     def close_credit(g: "pd.DataFrame") -> "pd.DataFrame":
+        # each closed wedge credits its three corners: (node, tri)
+        # partial rows, deg -1 marking them for ``finish``
         e = (g[g["_kind"] == 1][["x", "y"]].drop_duplicates())
         w = g[g["_kind"] == 0][["w_src", "x", "y"]]
         hit = w.merge(e, on=["x", "y"])
-        if not len(hit):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "_t": pd.Series([], dtype="int64")})
         nodes = np.concatenate([hit["w_src"].to_numpy(),
                                 hit["x"].to_numpy(),
                                 hit["y"].to_numpy()]).astype(np.int64)
         u, c = np.unique(nodes, return_counts=True)
-        return pd.DataFrame({"node": u, "_t": c.astype(np.int64)})
-
-    wedge_rows = wedge_ds.map_batches(
-        lambda df: df.assign(_kind=np.int64(0)), batch_format="pandas")
-    edge_rows = oriented.map_batches(
-        lambda df: pd.DataFrame({"w_src": np.int64(0),
-                                 "x": df["src"].astype("int64"),
-                                 "y": df["dst"].astype("int64"),
-                                 "_kind": np.int64(1)}),
-        batch_format="pandas")
-    union = wedge_rows.union(edge_rows)
-    keyed = union.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="x", n_buckets=n_buckets))
-    credits = keyed.groupby("_b").map_groups(close_credit,
-                                             batch_format="pandas")
-    tri = credits.groupby("node").aggregate(Sum("_t", alias_name="tri"))
-
-    # attach triangle counts to degrees: reuse the bucketed node merge
-    # (deg rows dominate; nodes without a triangle default to 0)
-    def tag_deg(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame({"node": df["node"].astype("int64"),
-                             "deg": df["deg"].astype("int64"),
-                             "tri": np.int64(-1)})
-
-    def tag_tri(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame({"node": df["node"].astype("int64"),
-                             "deg": np.int64(-1),
-                             "tri": df["tri"].astype("int64")})
+        return pd.DataFrame({"node": u, "deg": np.int64(-1),
+                             "tri": c.astype(np.int64)})
 
     def finish(g: "pd.DataFrame") -> "pd.DataFrame":
+        # degree rows (tri -1) meet their nodes' triangle partials;
+        # nodes without a triangle default to 0
         d = g[g["tri"] < 0][["node", "deg"]]
-        t = g[g["tri"] >= 0][["node", "tri"]]
+        t = (g[g["tri"] >= 0].groupby("node", sort=False)["tri"].sum()
+             .reset_index())
         m = d.merge(t, on="node", how="left")
         deg_v = m["deg"].to_numpy(dtype=np.float64)
         tri_v = np.nan_to_num(m["tri"].to_numpy(dtype=np.float64))
@@ -1082,12 +990,18 @@ def clustering_coefficient(edges_ds, n_buckets: int = 64,
             "tri": tri_v.astype(np.int64),
             "coef_micro": coef.astype(np.int64)})
 
-    union2 = (deg.map_batches(tag_deg, batch_format="pandas")
-              .union(tri.map_batches(tag_tri, batch_format="pandas")))
-    keyed2 = union2.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="node", n_buckets=n_buckets))
-    return keyed2.groupby("_b").map_groups(finish, batch_format="pandas")
+    node_rows = _int64s("node", "deg", "tri")
+    deg, rows = _closing_rows(edges_ds, n_buckets)
+    credits = keyed_fold(rows, "x", close_credit, n_buckets=n_buckets,
+                         schema=node_rows, batch_format="pandas")
+    deg_rows = deg.map_batches(
+        lambda b: b.append_column(
+            "tri", pa.array(np.full(b.num_rows, -1, np.int64))),
+        batch_format="pyarrow")
+    return keyed_fold(deg_rows.union(credits), "node", finish,
+                      n_buckets=n_buckets,
+                      schema=_int64s("node", "deg", "tri", "coef_micro"),
+                      batch_format="pandas")
 
 
 def degree_assortativity(edges_ds, n_buckets: int = 64,
@@ -1099,7 +1013,7 @@ def degree_assortativity(edges_ds, n_buckets: int = 64,
     negative: hubs link leaves (the web-crawl shape).
 
     All four moments (m = 2E, Σj, Σjk, Σj²) stay EXACT integers
-    through one bucketed degree merge + a per-batch combiner; only
+    through the keyed degree attach + a per-batch combiner; only
     the final r = (m·Σjk − Σj²ᵘᵐ) / (m·Σj² − Σj²ᵘᵐ) divides, in the
     same HUGEINT→double order as the SQL twin, then pins to
     micro-units.  Zero-variance degree sequences (every node the same
@@ -1113,8 +1027,6 @@ def degree_assortativity(edges_ds, n_buckets: int = 64,
     task — same exact integers, no merges.
     """
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     edges_ds = edges_ds.materialize()
 
@@ -1144,29 +1056,7 @@ def degree_assortativity(edges_ds, n_buckets: int = 64,
             local_assort, batch_format="pyarrow",
             batch_size=small_cutoff + 1)
 
-    def explode_partial(b: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([b.column("u").combine_chunks(),
-                                  b.column("v").combine_chunks()]
-                                 ).to_numpy(zero_copy_only=False)
-        u, c = np.unique(nodes, return_counts=True)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "deg": pa.array(c.astype(np.int64), pa.int64())})
-
-    def sum_deg(g: "pd.DataFrame") -> "pd.DataFrame":
-        return (g.groupby("node", sort=False)["deg"].sum()
-                .astype("int64").reset_index())
-
-    part = edges_ds.map_batches(explode_partial, batch_format="pyarrow")
-    tagged = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="node", n_buckets=n_buckets))
-    deg = tagged.groupby("_b").map_groups(
-        sum_deg, batch_format="pandas").materialize()
-
-    with_du = _merge_on_node(edges_ds, deg, "u", "deg_u", n_buckets,
-                             edge_cols=["u", "v"])
-    with_both = _merge_on_node(with_du, deg, "v", "deg_v", n_buckets,
-                               edge_cols=["u", "v", "deg_u"])
+    _, with_both = _degree_attach(edges_ds, n_buckets)
 
     def moments(df: "pd.DataFrame") -> "pd.DataFrame":
         j = df["deg_u"].to_numpy(dtype=np.int64)
@@ -1253,11 +1143,6 @@ def weighted_pagerank_integer(edges_ds, n_iter: int = 3,
                 f"scale <= {max_scale}")
 
     if 0 < edges_ds.count() <= small_cutoff:
-        # bound check on the DRIVER (same ValueError contract as the
-        # loop path — a RayTaskError wrapper would break callers)
-        _check_bound(distinct_nodes(edges_ds).count(),
-                     int(edges_ds.max("w")))
-
         def local_wpr(batch: pa.Table) -> pa.Table:
             src = batch.column("src").to_numpy(zero_copy_only=False)
             dst = batch.column("dst").to_numpy(zero_copy_only=False)
@@ -1279,16 +1164,21 @@ def weighted_pagerank_integer(edges_ds, n_iter: int = 3,
             return pa.table({"node": pa.array(nodes_arr),
                              "rank": pa.array(rank, pa.int64())})
 
-        return (edges_ds.repartition(1)
-                .map_batches(local_wpr, batch_format="pyarrow",
-                             batch_size=None).materialize())
+        ranks = (edges_ds.repartition(1)
+                 .map_batches(local_wpr, batch_format="pyarrow",
+                              batch_size=None).materialize())
+        # bound check on the DRIVER (same ValueError contract as the
+        # loop path — a RayTaskError wrapper would break callers), on
+        # the result's one row per node: no node-set shuffle first
+        _check_bound(ranks.count(), int(edges_ds.max("w")))
+        return ranks
 
     wsum = edges_ds.groupby("src").aggregate(Sum("w", alias_name="wsum"))
     edges_deg = bucketed_hash_join(
         edges_ds, wsum, key="src",
         n_buckets=n_buckets).repartition(n_buckets).materialize()
 
-    nodes = distinct_nodes(edges_ds).repartition(n_buckets).materialize()
+    nodes = distinct_nodes(edges_ds, n_buckets)
     max_w = int(edges_ds.max("w"))
     _check_bound(nodes.count(), max_w)
 
@@ -1332,6 +1222,12 @@ def weighted_pagerank_integer(edges_ds, n_iter: int = 3,
     return ranks
 
 
+def _v_keyed(df: "pd.DataFrame") -> "pd.DataFrame":
+    """Key a u-fold's rows for the v pass (``_k``): a pair row by its v,
+    where v's item row (v = −1) is keyed by its own id u."""
+    return df.assign(_k=np.where(df["v"] >= 0, df["v"], df["u"]))
+
+
 def association_rules(ds, group_col: str, item_col: str,
                       min_support: int = 2, n_buckets: int = 64):
     """Association rules over frequent item PAIRS (the metrics step of
@@ -1341,19 +1237,17 @@ def association_rules(ds, group_col: str, item_col: str,
     half-up integer micro-units (``(2e6·a + b) // (2·b)``), no floats
     anywhere.
 
-    Scale shape: ONE basket-keyed bucketed shuffle computes, per
-    bucket, exact pair partials AND per-item distinct-basket partials
-    AND a basket-count partial (a basket lives wholly in its bucket);
-    one item-keyed fold then sums pairs and items together — n_u
-    attaches IN that fold (item row and its pairs co-locate) — and a
-    final v-keyed union-merge pass attaches n_v.  The total basket
+    Scale shape: ONE basket-keyed fold computes, per bucket, exact pair
+    partials AND per-item distinct-basket partials AND a basket-count
+    partial (a basket lives wholly in its bucket); one item-keyed fold
+    then sums pairs and items together — n_u attaches IN that fold
+    (item row and its pairs co-locate) — and a final v-keyed fold
+    (``_v_keyed``) attaches n_v.  The total basket
     count is one row, broadcast as a scalar.  Only frequent pairs
     leave the fold.  Output: (u, v, n_uv, n_u, n_v, conf_uv_micro,
     conf_vu_micro, lift_micro), items int64.
     """
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
@@ -1417,37 +1311,24 @@ def association_rules(ds, group_col: str, item_col: str,
                 "conf_uv_micro", "conf_vu_micro", "lift_micro"]
         return m[cols].astype({c: "int64" for c in cols})
 
-    slim = ds.map_batches(
-        lambda df: df[[group_col, item_col]].drop_duplicates(),
-        batch_format="pandas")
-    tagged = slim.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=group_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(partials,
-                                           batch_format="pandas")
-    by_u = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="u", n_buckets=n_buckets))
-    folded = by_u.groupby("_b").map_groups(
-        fold_u, batch_format="pandas").materialize()
+    part = keyed_fold(_baskets(ds, group_col, item_col), group_col,
+                      partials, n_buckets=n_buckets,
+                      schema=_int64s("u", "v", "n"), batch_format="pandas")
+    folded = keyed_fold(part, "u", fold_u, n_buckets=n_buckets,
+                        schema=_int64s("u", "v", "n_uv", "n_u"),
+                        batch_format="pandas")
     # the u = v = −1 total row is a single exact scalar — the one
     # value that crosses to the driver (same O(1) read as a .min()
     # seed); everything else stays distributed
     n_baskets = int(folded.map_batches(
         lambda df: df[(df["u"] == -1) & (df["v"] == -1)][["n_u"]],
         batch_format="pandas").sum("n_u") or 0)
-    by_v = folded.map_batches(
-        lambda df: df[df["u"] != -1].assign(
-            _b=key_buckets(np.where(df.loc[df["u"] != -1, "v"]
-                                    .to_numpy(np.int64) >= 0,
-                                    df.loc[df["u"] != -1, "v"]
-                                    .to_numpy(np.int64),
-                                    df.loc[df["u"] != -1, "u"]
-                                    .to_numpy(np.int64)), n_buckets)),
-        batch_format="pandas")
-    return by_v.groupby("_b").map_groups(
-        fold_v, batch_format="pandas",
-        fn_kwargs=dict(n_baskets=n_baskets))
+    return keyed_fold(
+        folded.map_batches(_v_keyed, batch_format="pandas"), "_k", fold_v,
+        n_buckets=n_buckets,
+        schema=_int64s("u", "v", "n_uv", "n_u", "n_v", "conf_uv_micro",
+                       "conf_vu_micro", "lift_micro"),
+        fn_kwargs=dict(n_baskets=n_baskets), batch_format="pandas")
 
 
 def sssp_bounded(edges_ds, source: int, rounds: int = 4,
@@ -1545,16 +1426,14 @@ def link_prediction(ds, group_col: str, item_col: str,
     with an exact rational instead of a log.)
 
     Scale shape (association_rules' two-fold attach): ONE basket-keyed
-    bucketed shuffle emits, per bucket, exact pair partials (count +
-    RA weight) and per-item degree partials; a u-keyed fold sums pairs
-    and attaches n_u in-fold; a v-keyed union-merge pass attaches n_v
-    and computes the scores.  Only pairs with n_uv ≥ min_cooc leave
+    fold emits, per bucket, exact pair partials (count + RA weight) and
+    per-item degree partials; a u-keyed fold sums pairs and attaches n_u
+    in-fold; a v-keyed fold (``_v_keyed``) attaches n_v and computes the
+    scores.  Only pairs with n_uv ≥ min_cooc leave
     the fold; the final (jaccard desc, ra desc, u, v) top-k sort runs
     over that filtered pair set.  Output: (u, v, n_uv, n_u, n_v,
     ra_nano, jaccard_micro), all int64."""
     import pandas as pd
-
-    from .bucketing import key_buckets
 
     if min_cooc < 1:
         raise ValueError(f"min_cooc must be >= 1, got {min_cooc}")
@@ -1612,25 +1491,19 @@ def link_prediction(ds, group_col: str, item_col: str,
         m["ra_nano"] = m.pop("ra")
         return m[out_cols].astype({c: "int64" for c in out_cols})
 
-    slim = ds.map_batches(
-        lambda df: df[[group_col, item_col]].drop_duplicates(),
+    part = keyed_fold(_baskets(ds, group_col, item_col), group_col,
+                      partials, n_buckets=n_buckets,
+                      schema=_int64s("u", "v", "n", "ra"),
+                      batch_format="pandas")
+    folded = keyed_fold(part, "u", fold_u, n_buckets=n_buckets,
+                        schema=_int64s("u", "v", "n_uv", "ra", "n_u"),
+                        batch_format="pandas")
+    scored = keyed_fold(
+        folded.map_batches(_v_keyed, batch_format="pandas"), "_k", fold_v,
+        n_buckets=n_buckets,
+        schema=_int64s("u", "v", "n_uv", "n_u", "n_v", "ra_nano",
+                       "jaccard_micro"),
         batch_format="pandas")
-    tagged = slim.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=group_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(partials, batch_format="pandas")
-    by_u = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col="u", n_buckets=n_buckets))
-    folded = by_u.groupby("_b").map_groups(fold_u, batch_format="pandas")
-    by_v = folded.map_batches(
-        lambda df: df.assign(
-            _b=key_buckets(np.where(df["v"].to_numpy(np.int64) >= 0,
-                                    df["v"].to_numpy(np.int64),
-                                    df["u"].to_numpy(np.int64)),
-                           n_buckets)),
-        batch_format="pandas")
-    scored = by_v.groupby("_b").map_groups(fold_v, batch_format="pandas")
     out = scored.sort(["jaccard_micro", "ra_nano", "u", "v"],
                       descending=[True, True, False, False]).limit(top_k)
     return out

@@ -51,3 +51,20 @@ def test_linear_attribution_hand_case(ray_session):
     assert out.loc["view", "n_touches"] == 3
     assert out.loc["click", "n_touches"] == 2
     assert set(out.index) == {"view", "click"}
+
+
+def test_percent_rank_rejects_null_values(ray_session):
+    """A null value fails fast, with the null count, instead of ranking
+    as NaN (last) where the SQL twin follows NULL rules."""
+    import pytest
+    import ray.data as rd
+
+    from markdown_lab_ray.stages.analytics import percent_rank_table
+
+    df = pd.DataFrame({
+        "event_id": [1, 2, 3],
+        "event_type": ["A", "A", "B"],
+        "value": [10.0, None, 7.0],
+    })
+    with pytest.raises(ValueError, match="1 rows with a null 'value'"):
+        percent_rank_table(rd.from_pandas(df))
