@@ -9119,21 +9119,28 @@ GROUP BY 1 ORDER BY 1
 # that no harness round had checked (frequent_pairs, part_hops,
 # degree_histogram, edge_reciprocity, part_clustering, part_assortativity,
 # pair_rules, sssp_parts, part_link_prediction) took the slots of nine
-# r05-verified queries whose code that change left alone.
+# r05-verified queries whose code that change left alone.  When the
+# analytics operators moved onto it, eight analytics queries no round had
+# checked (event_transitions, winsorized_values, brand_mode, last_touch,
+# segment_mannwhitney, late_ship_orders, retention_survival,
+# orderkey_gaps) took the slots of eight r05-verified ones that change
+# left alone (render_json_payloads, render_xml_payloads, kmeans_lloyd,
+# cluster_silhouette, mmr_rerank, density_clusters, range_join_banded,
+# nearest_order); the rewritten event_funnel, retention_cohorts,
+# scd2_docs and upsert_docs stay in the window.
 _ROUND5_ROTATION = [
-    "frequent_pairs", "part_hops",
-    "degree_histogram", "edge_reciprocity", "markov_stationary",
-    "part_clustering", "personalized_pagerank", "pagerank",
-    "hits", "part_kcore", "part_triangles", "semantic_dedup",
-    "training_mixture", "dedup_spans", "weighted_sample_global",
-    "part_assortativity", "pair_rules", "sssp_parts",
-    "convert_payloads", "render_json_payloads", "render_xml_payloads",
-    "dedup_keep_best", "new_documents", "source_dedup_yield",
-    "setsim_pairs", "setsim_clusters", "bm25", "part_link_prediction",
-    "readability", "pmi_bigrams", "hapax_rate", "kmeans_assign",
-    "kmeans_lloyd", "cluster_silhouette", "mmr_rerank",
-    "hybrid_search", "density_clusters", "range_join_banded",
-    "asof_forward", "nearest_order", "upsert_docs", "scd2_docs",
+    "frequent_pairs", "part_hops", "degree_histogram",
+    "edge_reciprocity", "markov_stationary", "part_clustering",
+    "personalized_pagerank", "pagerank", "hits", "part_kcore",
+    "part_triangles", "semantic_dedup", "training_mixture",
+    "dedup_spans", "weighted_sample_global", "part_assortativity",
+    "pair_rules", "sssp_parts", "convert_payloads", "event_transitions",
+    "winsorized_values", "dedup_keep_best", "new_documents",
+    "source_dedup_yield", "setsim_pairs", "setsim_clusters", "bm25",
+    "part_link_prediction", "readability", "pmi_bigrams", "hapax_rate",
+    "kmeans_assign", "brand_mode", "last_touch", "segment_mannwhitney",
+    "hybrid_search", "late_ship_orders", "retention_survival",
+    "asof_forward", "orderkey_gaps", "upsert_docs", "scd2_docs",
     "stream_ingest", "deletion_propagation", "group_split",
     "class_weights", "split_leakage", "retention_cohorts",
     "event_funnel", "weighted_pagerank",

@@ -174,8 +174,8 @@ def _gen_docs_batch(batch, dup_every: int = 7, n_words: int = 60,
     base = ids - np.where(ids % dup_every == 3, 3, 0)
     # vocab index matrix: (n_docs, n_words), cheap integer mixing
     j = np.arange(n_words, dtype=np.int64)
-    idx = (base[:, None] * 2654435761 + j[None, :] * 97 + base[:, None]
-           % 131) % 5003
+    idx = (base[:, None] * 2654435761 + j[None, :] * 97
+           + (base[:, None] % 131)) % 5003
     texts = [" ".join(f"{vocab_prefix}{v}" for v in row) for row in idx]
     return pa.table({"doc_id": pa.array(ids, pa.int64()),
                      "text": pa.array(texts, pa.string())})

@@ -9,9 +9,10 @@ Ray-Data-first composition of the two scale-safe shapes:
   collapses each block to per-key partials first, so the only shuffle
   moves O(keys × blocks) partial rows, never raw events.  This is the
   pre-aggregation pattern SURVEY §7.5 mandates for wide ops at 100 TB.
-* **one keyed shuffle → sorted ``map_groups``** (rolling, lag, rank):
-  true event order is only needed *within* a key, so the group fn
-  sorts its own group and emits exact ordered results.  Partitioning
+* **one keyed shuffle → sorted fold** (rolling, lag, rank):
+  ``bucketing.keyed_fold`` hands each fold one whole bucket of keys;
+  true event order is only needed *within* a key, so the fold sorts
+  its bucket and emits exact ordered results.  Partitioning
   assumption (same as the sessionize query documents): one key's
   history fits one worker.  Hot keys would need a salted two-stage
   split (the shape ``joins.salted_hash_join`` uses).
@@ -35,7 +36,32 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from markdown_lab_ray.stages.bucketing import key_buckets, tag_buckets_batch
+from markdown_lab_ray.stages.bucketing import keyed_fold
+
+
+def _carry(*fields):
+    """A ``keyed_fold`` schema whose types follow the fold's input.  A
+    field is an input column's name, or a ``(name, type)`` pair whose
+    type is an Arrow type or the input column to take it from."""
+    def schema(s: pa.Schema) -> pa.Schema:
+        return pa.schema([
+            s.field(f) if isinstance(f, str) else
+            (f[0], s.field(f[1]).type if isinstance(f[1], str) else f[1])
+            for f in fields])
+    return schema
+
+
+def _sum_partials(ds, keys: list, n_buckets: int = 64):
+    """Sum the per-bucket partials a first fold emitted (every column but
+    ``keys``) per ``keys``: a ``keyed_fold`` on ``keys[0]``, which all
+    rows of a key tuple share, typed as its input.  Unlike a native
+    ``groupby(keys).aggregate``, it leaves no empty block for a later
+    map to turn column-less."""
+    def total(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(keys, sort=False).sum().reset_index()
+
+    return keyed_fold(ds, keys[0], total, n_buckets=n_buckets,
+                      schema=lambda s: s, batch_format="pandas")
 
 
 def _cents(values: np.ndarray) -> np.ndarray:
@@ -68,10 +94,10 @@ def rolling_sum_cents(ds, window: int = 7, key_col: str = "user_id",
             "roll_sum_cents": out,
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(roll, batch_format="pandas")
+    return keyed_fold(ds, key_col, roll, n_buckets=n_buckets,
+                      schema=_carry(key_col, id_col,
+                                    ("roll_sum_cents", pa.int64())),
+                      batch_format="pandas")
 
 
 def lag_deltas(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -94,10 +120,9 @@ def lag_deltas(ds, key_col: str = "user_id", ts_col: str = "ts",
             "delta_us": delta[keep].astype(np.int64),
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(gaps, batch_format="pandas")
+    return keyed_fold(ds, key_col, gaps, n_buckets=n_buckets,
+                      schema=_carry(key_col, id_col, ("delta_us", pa.int64())),
+                      batch_format="pandas")
 
 
 def rank_in_group(ds, key_col: str, order_col: str, id_col: str,
@@ -119,10 +144,9 @@ def rank_in_group(ds, key_col: str, order_col: str, id_col: str,
             rank_col: rn.astype(np.int64),
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(rk, batch_format="pandas")
+    return keyed_fold(ds, key_col, rk, n_buckets=n_buckets,
+                      schema=_carry(key_col, id_col, (rank_col, pa.int64())),
+                      batch_format="pandas")
 
 
 def pivot_counts(ds, key_col: str, cat_col: str,
@@ -190,7 +214,7 @@ def distinct_count(ds, key_col: str, distinct_col: str,
     counts, then a second tiny bucketed shuffle on hash(key) sums the
     partials.  Raw rows are deduped before they ever move.
 
-    Bucketed ``map_groups`` rather than Ray's native
+    Two ``keyed_fold`` passes rather than Ray's native
     ``groupby([key, x]).aggregate``: the sort-based aggregate pays
     per-GROUP overhead, and with one group per distinct pair 45k pairs
     cost 71 s where the bucketed path takes under a second (the same
@@ -211,16 +235,12 @@ def distinct_count(ds, key_col: str, distinct_col: str,
         return out
 
     pairs = ds.map_batches(pair_dedup, batch_format="pandas")
-    by_x = pairs.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=distinct_col, n_buckets=n_buckets))
-    part = by_x.groupby("_b").map_groups(bucket_count,
-                                         batch_format="pandas")
-    by_key = part.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return by_key.groupby("_b").map_groups(sum_partials,
-                                           batch_format="pandas")
+    part = keyed_fold(pairs, distinct_col, bucket_count, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("n", pa.int64())),
+                      batch_format="pandas")
+    return keyed_fold(part, key_col, sum_partials, n_buckets=n_buckets,
+                      schema=_carry(key_col, (out_col, pa.int64())),
+                      batch_format="pandas")
 
 
 def grouping_sets_agg(ds, cols: Sequence[str],
@@ -347,11 +367,11 @@ def argmax_per_key(ds, key_col: str, cat_col: str, n_col: str = "n",
             n_col: win["_n"].to_numpy(dtype=np.int64),
         })
 
-    tagged = (ds.map_batches(partial, batch_format="pandas")
-              .map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=64)))
-    return tagged.groupby("_b").map_groups(pick, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pandas"), key_col, pick,
+        n_buckets=64,
+        schema=_carry(key_col, (out_cat_col, cat_col), (n_col, pa.int64())),
+        batch_format="pandas")
 
 
 def ntile_percent_rank(ds, key_col: str, order_col: str, id_col: str,
@@ -389,10 +409,10 @@ def ntile_percent_rank(ds, key_col: str, order_col: str, id_col: str,
             "tile": (tile + 1).astype(np.int64),
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=64))
-    return tagged.groupby("_b").map_groups(rk, batch_format="pandas")
+    return keyed_fold(ds, key_col, rk, n_buckets=64,
+                      schema=_carry(key_col, id_col, ("pr", pa.float64()),
+                                    ("tile", pa.int64())),
+                      batch_format="pandas")
 
 
 def zscore_outliers(ds, key_col: str, value_col: str, id_col: str,
@@ -477,10 +497,10 @@ def cumulative_sum_cents(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cum_sum_cents": csum.to_numpy(dtype=np.int64),
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(cum, batch_format="pandas")
+    return keyed_fold(ds, key_col, cum, n_buckets=n_buckets,
+                      schema=_carry(key_col, id_col,
+                                    ("cum_sum_cents", pa.int64())),
+                      batch_format="pandas")
 
 
 def budget_apportion(ds, key_col: str, budget: int):
@@ -653,10 +673,10 @@ def time_window_sum_cents(ds, window_us: int, key_col: str = "user_id",
             "win_sum_cents": out,
         })
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(roll, batch_format="pandas")
+    return keyed_fold(ds, key_col, roll, n_buckets=n_buckets,
+                      schema=_carry(key_col, id_col,
+                                    ("win_sum_cents", pa.int64())),
+                      batch_format="pandas")
 
 
 def melt(ds, id_cols, value_cols, var_col: str = "measure",
@@ -733,12 +753,11 @@ def funnel_steps(ds, steps, user_col: str = "user_id",
         return pd.DataFrame({user_col: users.to_numpy(),
                              "steps_completed": done.to_numpy()})
 
-    slim = ds.map_batches(keep, batch_format="pyarrow")
-    tagged = slim.map_batches(
-        lambda df: df.assign(_b=key_buckets(df[user_col].to_numpy(),
-                                            n_buckets := 64)),
+    return keyed_fold(
+        ds.map_batches(keep, batch_format="pyarrow"), user_col, chain,
+        n_buckets=64,
+        schema=_carry(user_col, ("steps_completed", pa.int64())),
         batch_format="pandas")
-    return tagged.groupby("_b").map_groups(chain, batch_format="pandas")
 
 
 def event_transitions(ds, user_col: str = "user_id", ts_col: str = "ts",
@@ -756,7 +775,6 @@ def event_transitions(ds, user_col: str = "user_id", ts_col: str = "ts",
     O(|type alphabet|² × buckets) tiny int rows, never events.
     Output: (from_type, to_type, n), n int64.
     """
-    from ray.data.aggregate import Sum
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([user_col, ts_col, id_col], kind="mergesort")
@@ -769,14 +787,11 @@ def event_transitions(ds, user_col: str = "user_id", ts_col: str = "ts",
         part["n"] = part["n"].astype("int64")
         return part
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(pairs, batch_format="pandas")
-    agg = part.groupby(["from_type", "to_type"]).aggregate(
-        Sum("n", alias_name="n"))
-    return agg.map_batches(lambda df: df.astype({"n": "int64"}),
-                           batch_format="pandas")
+    part = keyed_fold(ds, user_col, pairs, n_buckets=n_buckets,
+                      schema=_carry(("from_type", type_col),
+                                    ("to_type", type_col), ("n", pa.int64())),
+                      batch_format="pandas")
+    return _sum_partials(part, ["from_type", "to_type"], n_buckets)
 
 
 def conversion_lag(ds, from_type: str = "view", to_type: str = "purchase",
@@ -818,11 +833,11 @@ def conversion_lag(ds, from_type: str = "view", to_type: str = "purchase",
             "lag_us": (conv["_tp"] - conv["_tv"]).astype("int64"),
         })
 
-    slim = ds.map_batches(keep, batch_format="pyarrow")
-    tagged = slim.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(lag, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(keep, batch_format="pyarrow"), user_col, lag,
+        n_buckets=n_buckets,
+        schema=_carry(user_col, ("lag_us", pa.int64())),
+        batch_format="pandas")
 
 
 _WEEK_US = 7 * 24 * 3600 * 1_000_000
@@ -853,7 +868,6 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
     rows.  Output: (cohort_week timestamp, week_offset int64,
     n_users int64).
     """
-    from ray.data.aggregate import Sum
 
     def to_weeks(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({
@@ -866,29 +880,20 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
         g = g.drop_duplicates([user_col, "_wk"])
         cohort = g.groupby(user_col, sort=False)["_wk"].transform("min")
         off = ((g["_wk"].to_numpy() - cohort.to_numpy()) // _WEEK_US)
-        part = (pd.DataFrame({"_cw": cohort.to_numpy(),
-                              "week_offset": off.astype(np.int64)})
-                .groupby(["_cw", "week_offset"], sort=False)
-                .size().rename("n").reset_index())
-        part["n"] = part["n"].astype("int64")
-        return part
+        return (pd.DataFrame({
+            "cohort_week": cohort.to_numpy().astype("datetime64[us]"),
+            "week_offset": off.astype(np.int64)})
+            .groupby(["cohort_week", "week_offset"], sort=False)
+            .size().rename("n_users").reset_index())
 
-    pairs = ds.map_batches(to_weeks, batch_format="pandas")
-    tagged = pairs.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(cohortize, batch_format="pandas")
-    agg = part.groupby(["_cw", "week_offset"]).aggregate(
-        Sum("n", alias_name="n_users"))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cohort_week": df["_cw"].astype("datetime64[us]"),
-            "week_offset": df["week_offset"].astype("int64"),
-            "n_users": df["n_users"].astype("int64"),
-        })
-
-    return agg.map_batches(finish, batch_format="pandas")
+    part = keyed_fold(
+        ds.map_batches(to_weeks, batch_format="pandas"), user_col, cohortize,
+        n_buckets=n_buckets,
+        schema=pa.schema([("cohort_week", pa.timestamp("us")),
+                          ("week_offset", pa.int64()),
+                          ("n_users", pa.int64())]),
+        batch_format="pandas")
+    return _sum_partials(part, ["cohort_week", "week_offset"], n_buckets)
 
 
 def profile_columns(ds, cols: Sequence[str]):
@@ -1076,11 +1081,11 @@ def interval_coverage(ds, dur_us: int, key_col: str = "user_id",
                .astype("int64").reset_index())
         return out
 
-    tagged = (ds.map_batches(slim, batch_format="pandas")
-              .map_batches(
-                  tag_buckets_batch, batch_format="pyarrow",
-                  fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets)))
-    return tagged.groupby("_b").map_groups(cover, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pandas"), key_col, cover,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("covered_us", pa.int64())),
+        batch_format="pandas")
 
 
 _DAY_US = 24 * 3600 * 1_000_000
@@ -1158,57 +1163,31 @@ def winsorize_per_key(ds, key_col: str, value_col: str, id_col: str,
     outlier-clipping normalizer a feature pipeline runs before
     training).
 
-    Scale shape: pass 1 computes exact per-key bounds with one keyed
-    group shuffle (one key's values on one worker — the documented
-    events_percentile assumption); pass 2 attaches bounds via the
-    union-then-merge bucketed pattern and clips vectorized — the
-    bounds NEVER sit in a driver dict, so key cardinality is unbounded
-    (the histogram_quantiles lesson).  Output: (id, key, out_col).
+    Scale shape: ONE bucketed key shuffle (one key's values on one
+    worker — the documented events_percentile assumption); inside the
+    bucket each key's bounds come from its own values and the clip is
+    vectorized — the bounds NEVER sit in a driver dict, so key
+    cardinality is unbounded (the histogram_quantiles lesson).
+    Output: (id, key, out_col).
     """
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise ValueError(f"need 0 <= lo_q < hi_q <= 1, got "
                          f"({lo_q}, {hi_q})")
 
-    def pct(g: pd.DataFrame) -> pd.DataFrame:
-        vals = g[value_col].to_numpy(dtype=np.float64)
-        return pd.DataFrame({
-            key_col: [g[key_col].iloc[0]],
-            "_lo": [round(float(np.percentile(vals, lo_q * 100)), 6)],
-            "_hi": [round(float(np.percentile(vals, hi_q * 100)), 6)],
-        })
-
-    bounds = ds.groupby(key_col).map_groups(pct, batch_format="pandas")
-
-    def tag_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({key_col: df[key_col].to_numpy(),
-                             id_col: df[id_col].to_numpy(),
-                             "_v": df[value_col].to_numpy(np.float64),
-                             "_lo": np.nan, "_hi": np.nan})
-
-    def tag_bounds(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({key_col: df[key_col].to_numpy(),
-                             id_col: np.int64(-1),
-                             "_v": np.nan,
-                             "_lo": df["_lo"].to_numpy(np.float64),
-                             "_hi": df["_hi"].to_numpy(np.float64)})
-
     def clip(g: pd.DataFrame) -> pd.DataFrame:
-        b = g[g["_lo"].notna()][[key_col, "_lo", "_hi"]].drop_duplicates()
-        rows = g[g["_lo"].isna()].drop(columns=["_lo", "_hi"])
-        m = rows.merge(b, on=key_col)
-        w = np.minimum(np.maximum(m["_v"].to_numpy(),
-                                  m["_lo"].to_numpy()),
-                       m["_hi"].to_numpy())
-        return pd.DataFrame({id_col: m[id_col].astype("int64"),
-                             key_col: m[key_col],
-                             out_col: w})
+        v = g[value_col].to_numpy(dtype=np.float64)
+        lo, hi = np.empty_like(v), np.empty_like(v)
+        for rows in g.groupby(key_col, sort=False).indices.values():
+            lo[rows] = round(float(np.percentile(v[rows], lo_q * 100)), 6)
+            hi[rows] = round(float(np.percentile(v[rows], hi_q * 100)), 6)
+        return pd.DataFrame({id_col: g[id_col].astype("int64"),
+                             key_col: g[key_col],
+                             out_col: np.minimum(np.maximum(v, lo), hi)})
 
-    union = (ds.map_batches(tag_rows, batch_format="pandas")
-             .union(bounds.map_batches(tag_bounds, batch_format="pandas")))
-    tagged = union.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(clip, batch_format="pandas")
+    return keyed_fold(ds, key_col, clip, n_buckets=n_buckets,
+                      schema=_carry((id_col, pa.int64()), key_col,
+                                    (out_col, pa.float64())),
+                      batch_format="pandas")
 
 
 def grouped_means(ds, key_col: str, value_col: str):
@@ -1273,8 +1252,6 @@ def grouped_gini(ds, key_col: str, value_col: str):
     contract as grouped_pearson_corr).  Values must be ≥ 0.
     Output: (key, n, gini_micro).
     """
-    from .bucketing import key_buckets
-
     def slim(df: pd.DataFrame) -> pd.DataFrame:
         v = df[value_col].to_numpy(dtype=np.float64)
         if (v < 0).any():
@@ -1304,11 +1281,11 @@ def grouped_gini(ds, key_col: str, value_col: str):
                              "n": pd.array(ns, dtype="int64"),
                              "gini_micro": pd.array(ginis, dtype="int64")})
 
-    tagged = (ds.map_batches(slim, batch_format="pandas")
-              .map_batches(
-                  tag_buckets_batch, batch_format="pyarrow",
-                  fn_kwargs=dict(key_col=key_col, n_buckets=64)))
-    return tagged.groupby("_b").map_groups(gini, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pandas"), key_col, gini,
+        n_buckets=64,
+        schema=_carry(key_col, ("n", pa.int64()), ("gini_micro", pa.int64())),
+        batch_format="pandas")
 
 
 def interarrival_cv(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -1356,11 +1333,12 @@ def interarrival_cv(ds, key_col: str = "user_id", ts_col: str = "ts",
             "cv_micro": np.floor(cv * 1e6 + 0.5).astype(np.int64)[keep],
         })
 
-    tagged = (gaps.map_batches(partial, batch_format="pandas")
-              .map_batches(
-                  tag_buckets_batch, batch_format="pyarrow",
-                  fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets)))
-    return tagged.groupby("_b").map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        gaps.map_batches(partial, batch_format="pandas"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("n_gaps", pa.int64()),
+                      ("cv_micro", pa.int64())),
+        batch_format="pandas")
 
 
 def grouped_mad(ds, key_col: str, value_col: str, n_buckets: int = 64):
@@ -1374,7 +1352,6 @@ def grouped_mad(ds, key_col: str, value_col: str, n_buckets: int = 64):
     Interpolation matches SQL ``median`` (mean of the middle two).
     Output: (key, n, median, mad).
     """
-    from .bucketing import key_buckets
 
     def stats(g: pd.DataFrame) -> pd.DataFrame:
         keys_out, ns, meds, mads = [], [], [], []
@@ -1390,10 +1367,11 @@ def grouped_mad(ds, key_col: str, value_col: str, n_buckets: int = 64):
                              "n": pd.array(ns, dtype="int64"),
                              "median": meds, "mad": mads})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(stats, batch_format="pandas")
+    return keyed_fold(ds, key_col, stats, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("n", pa.int64()),
+                                    ("median", pa.float64()),
+                                    ("mad", pa.float64())),
+                      batch_format="pandas")
 
 
 def grouped_cat_entropy(ds, key_col: str, cat_col: str,
@@ -1408,7 +1386,6 @@ def grouped_cat_entropy(ds, key_col: str, cat_col: str,
     (all of a key's categories land in its bucket).  Same expression
     tree as the SQL twin.  Output: (key, entropy_micro).
     """
-    from .bucketing import key_buckets
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = (df.groupby([key_col, cat_col], sort=False)
@@ -1430,11 +1407,11 @@ def grouped_cat_entropy(ds, key_col: str, cat_col: str,
             key_col: s[key_col],
             "entropy_micro": np.floor(h * 1e6 + 0.5).astype(np.int64)})
 
-    tagged = (ds.map_batches(partial, batch_format="pandas")
-              .map_batches(
-                  tag_buckets_batch, batch_format="pyarrow",
-                  fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets)))
-    return tagged.groupby("_b").map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pandas"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("entropy_micro", pa.int64())),
+        batch_format="pandas")
 
 
 def date_spine_fill(ds, date_col: str, value_col: str):
@@ -1492,7 +1469,6 @@ def state_dwell_time(ds, key_col: str = "user_id", ts_col: str = "ts",
     groupby sees a bounded alphabet.  Ties in ``ts`` break on the id
     column in both engines.  Output: (state, n_gaps, dwell_us).
     """
-    from ray.data.aggregate import Sum
 
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, id_col], kind="mergesort")
@@ -1502,21 +1478,14 @@ def state_dwell_time(ds, key_col: str = "user_id", ts_col: str = "ts",
         st = g[state_col].to_numpy()[:-1][same]
         gap = gap[same]
         out = pd.DataFrame({state_col: st, "_gap": gap})
-        p = out.groupby(state_col, sort=False).agg(
-            _n=("_gap", "size"), _s=("_gap", "sum")).reset_index()
-        p["_n"] = p["_n"].astype("int64")
-        p["_s"] = p["_s"].astype("int64")
-        return p
+        return out.groupby(state_col, sort=False).agg(
+            n_gaps=("_gap", "size"), dwell_us=("_gap", "sum")).reset_index()
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    parts = tagged.groupby("_b").map_groups(gaps, batch_format="pandas")
-    out = parts.groupby(state_col).aggregate(
-        Sum("_n", alias_name="n_gaps"), Sum("_s", alias_name="dwell_us"))
-    return out.map_batches(
-        lambda df: df.astype({"n_gaps": "int64", "dwell_us": "int64"}),
-        batch_format="pandas")
+    parts = keyed_fold(ds, key_col, gaps, n_buckets=n_buckets,
+                       schema=_carry(state_col, ("n_gaps", pa.int64()),
+                                     ("dwell_us", pa.int64())),
+                       batch_format="pandas")
+    return _sum_partials(parts, [state_col], n_buckets)
 
 
 def benford_first_digit(ds, value_col: str):
@@ -1573,16 +1542,11 @@ def mad_outliers(ds, key_col: str, value_col: str, id_col: str,
             mask = np.abs(v - med) > k * mad
             if mask.any():
                 outs.append(grp.loc[mask, [id_col, key_col, value_col]])
-        if not outs:
-            return pd.DataFrame({id_col: pd.array([], dtype="int64"),
-                                 key_col: pd.array([], dtype="string"),
-                                 value_col: pd.array([], dtype="float64")})
-        return pd.concat(outs, ignore_index=True)
+        return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame()
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(gate, batch_format="pandas")
+    return keyed_fold(ds, key_col, gate, n_buckets=n_buckets,
+                      schema=_carry(id_col, key_col, value_col),
+                      batch_format="pandas")
 
 
 def discovery_curve(ds, key_col: str, cat_col: str, ts_col: str,
@@ -1610,10 +1574,10 @@ def discovery_curve(ds, key_col: str, cat_col: str, ts_col: str,
                              key_col: g[key_col].to_numpy(),
                              "n_distinct": run.to_numpy()})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(curve, batch_format="pandas")
+    return keyed_fold(ds, key_col, curve, n_buckets=n_buckets,
+                      schema=_carry(id_col, key_col,
+                                    ("n_distinct", pa.int64())),
+                      batch_format="pandas")
 
 
 def chi_square_independence(ds, a_col: str, b_col: str):
@@ -1694,10 +1658,10 @@ def grouped_weighted_median(ds, key_col: str, value_col: str,
                              "total_weight": pd.array(tots,
                                                       dtype="int64")})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(wmed, batch_format="pandas")
+    return keyed_fold(ds, key_col, wmed, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("wmedian_cents", pa.int64()),
+                                    ("total_weight", pa.int64())),
+                      batch_format="pandas")
 
 
 def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
@@ -1730,19 +1694,15 @@ def locf_fill(ds, key_col: str, ts_col: str, value_col: str,
             frames.append(pd.DataFrame({
                 key_col: key, "_day": spine,
                 value_col: vals.to_numpy()}))
-        if not frames:
-            return pd.DataFrame({key_col: pd.array([], dtype="int64"),
-                                 "day_id": pd.array([], dtype="int64"),
-                                 value_col: pd.array([], dtype="float64")})
         out = pd.concat(frames, ignore_index=True)
         out["day_id"] = (pd.to_datetime(out.pop("_day"), unit="D")
                          .dt.strftime("%Y%m%d").astype(np.int64))
         return out[[key_col, "day_id", value_col]]
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(fill, batch_format="pandas")
+    return keyed_fold(ds, key_col, fill, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("day_id", pa.int64()),
+                                    (value_col, pa.float64())),
+                      batch_format="pandas")
 
 
 def daily_kl_drift(ds, ts_col: str, cat_col: str):
@@ -1832,11 +1792,9 @@ def grouped_ewma(ds, key_col: str = "user_id", ts_col: str = "ts",
                              "ewma_cents": pd.array(out_vals,
                                                     dtype="int64")})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return (tagged.groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns([key_col, "ewma_cents"]))
+    return keyed_fold(ds, key_col, fold, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("ewma_cents", pa.int64())),
+                      batch_format="pandas")
 
 
 def with_global_row_number(ds, sort_cols, rn_col: str = "rn"):
@@ -1916,9 +1874,8 @@ def user_streaks(ds, key_col: str = "user_id", ts_col: str = "ts",
         df = pd.DataFrame({
             key_col: batch.column(key_col).to_numpy(zero_copy_only=False),
             "_dn": dn.to_numpy(zero_copy_only=False) // _US_PER_DAY})
-        df = df.drop_duplicates()
-        df["_b"] = key_buckets(df[key_col].to_numpy(), n_buckets)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(df.drop_duplicates(),
+                                    preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = (g[[key_col, "_dn"]].drop_duplicates()
@@ -1926,9 +1883,6 @@ def user_streaks(ds, key_col: str = "user_id", ts_col: str = "ts",
         keys = g[key_col].to_numpy()
         days = g["_dn"].to_numpy(np.int64)
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({key_col: pd.array([], dtype="int64"),
-                                 "max_streak": pd.array([], dtype="int64")})
         # a new island starts at a key change or a day gap > 1
         brk = np.ones(n, dtype=bool)
         brk[1:] = (keys[1:] != keys[:-1]) | (np.diff(days) != 1)
@@ -1940,8 +1894,11 @@ def user_streaks(ds, key_col: str = "user_id", ts_col: str = "ts",
         out["max_streak"] = out["max_streak"].astype("int64")
         return out
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas"))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("max_streak", pa.int64())),
+        batch_format="pandas")
 
 
 def event_type_runs(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -1963,10 +1920,6 @@ def event_type_runs(ds, key_col: str = "user_id", ts_col: str = "ts",
         keys = g[key_col].to_numpy()
         cats = g[cat_col].to_numpy()
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({key_col: pd.array([], dtype="int64"),
-                                 "run_len": pd.array([], dtype="int64"),
-                                 cat_col: pd.array([], dtype=str)})
         brk = np.ones(n, dtype=bool)
         brk[1:] = (keys[1:] != keys[:-1]) | (cats[1:] != cats[:-1])
         starts = np.flatnonzero(brk)
@@ -1979,11 +1932,9 @@ def event_type_runs(ds, key_col: str = "user_id", ts_col: str = "ts",
         out = runs.groupby(key_col, sort=True).head(1)
         return out[[key_col, "run_len", cat_col]].reset_index(drop=True)
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return (tagged.groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns([key_col, "run_len", cat_col]))
+    return keyed_fold(ds, key_col, fold, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("run_len", pa.int64()), cat_col),
+                      batch_format="pandas")
 
 
 def _daily_cents(ds, ts_col: str, value_col: str):
@@ -2150,11 +2101,10 @@ def user_trend(ds, key_col: str = "user_id", ts_col: str = "ts",
                              "trend_micro": pd.array(out_t,
                                                      dtype="int64")})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return (tagged.groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns([key_col, "n", "trend_micro"]))
+    return keyed_fold(ds, key_col, fold, n_buckets=n_buckets,
+                      schema=_carry(key_col, ("n", pa.int64()),
+                                    ("trend_micro", pa.int64())),
+                      batch_format="pandas")
 
 
 def pareto_crossings(ds, key_col: str, value_col: str,
@@ -2552,7 +2502,6 @@ def event_trigrams(ds, user_col: str = "user_id", ts_col: str = "ts",
     shuffle moves O(|alphabet|³ × buckets) int rows; the top-k cut
     runs over that bounded aggregate.  Output: (t1, t2, t3, n).
     """
-    from ray.data.aggregate import Sum
 
     def triples(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([user_col, ts_col, id_col], kind="mergesort")
@@ -2573,12 +2522,11 @@ def event_trigrams(ds, user_col: str = "user_id", ts_col: str = "ts",
                             kind="mergesort").head(top_k)
         return df.reset_index(drop=True).astype({"n": "int64"})
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(triples, batch_format="pandas")
-    agg = part.groupby(["t1", "t2", "t3"]).aggregate(
-        Sum("n", alias_name="n"))
+    part = keyed_fold(ds, user_col, triples, n_buckets=n_buckets,
+                      schema=_carry(("t1", type_col), ("t2", type_col),
+                                    ("t3", type_col), ("n", pa.int64())),
+                      batch_format="pandas")
+    agg = _sum_partials(part, ["t1", "t2", "t3"], n_buckets)
     return agg.repartition(1).map_batches(cut, batch_format="pandas",
                                           batch_size=None)
 
@@ -2605,15 +2553,13 @@ def upsert_merge(base_ds, updates_ds, key_col: str, ver_col: str,
     def keep_latest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ver_col, "_side"], kind="mergesort")
         out = g.drop_duplicates(key_col, keep="last")
-        return out.drop(columns=["_side", "_b"]).reset_index(drop=True)
+        return out.drop(columns=["_side"]).reset_index(drop=True)
 
     union = (base_ds.map_batches(tag(0), batch_format="pandas")
              .union(updates_ds.map_batches(tag(1), batch_format="pandas")))
-    tagged = union.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(keep_latest,
-                                           batch_format="pandas")
+    return keyed_fold(union, key_col, keep_latest, n_buckets=n_buckets,
+                      schema=lambda s: s.remove(s.get_field_index("_side")),
+                      batch_format="pandas")
 
 
 def scd2_intervals(ds, key_col: str, ver_col: str,
@@ -2638,12 +2584,13 @@ def scd2_intervals(ds, key_col: str, ver_col: str,
         g = g.assign(
             valid_from=g[ver_col].astype("int64"),
             valid_to=nxt.fillna(open_sentinel).astype("int64"))
-        return g.drop(columns=["_b"]).reset_index(drop=True)
+        return g.reset_index(drop=True)
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets))
-    return tagged.groupby("_b").map_groups(fold, batch_format="pandas")
+    return keyed_fold(ds, key_col, fold, n_buckets=n_buckets,
+                      schema=lambda s: pa.schema(
+                          [*s, ("valid_from", pa.int64()),
+                           ("valid_to", pa.int64())]),
+                      batch_format="pandas")
 
 
 def effective_sample_size(ds, weight_col: str):
@@ -2696,8 +2643,6 @@ def decayed_spend(ds, key_col: str, ts_col: str, value_col: str,
     """
     import pandas as pd
 
-    from ray.data.aggregate import Max, Sum
-
     def day_partial(df: pd.DataFrame) -> pd.DataFrame:
         day = (df[ts_col].to_numpy().astype("datetime64[us]")
                .astype(np.int64) // 86_400_000_000)
@@ -2718,18 +2663,17 @@ def decayed_spend(ds, key_col: str, ts_col: str, value_col: str,
                .astype("int64").reset_index())
         return out
 
-    tagged = (ds.map_batches(partial, batch_format="pandas")
-              .map_batches(
-                  tag_buckets_batch, batch_format="pyarrow",
-                  fn_kwargs=dict(key_col=key_col, n_buckets=n_buckets)))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(key_col, sort=False)["_s"].sum()
                .astype("int64").reset_index()
                .rename(columns={"_s": "decayed_cents"}))
         return out
 
-    return tagged.groupby("_b").map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds.map_batches(partial, batch_format="pandas"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("decayed_cents", pa.int64())),
+        batch_format="pandas")
 
 
 def psi_drift(ds, ts_col: str = "ts", value_col: str = "value",
@@ -2929,8 +2873,6 @@ def retention_survival(ds, cust_col: str, date_col: str,
     """
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     def day_rows(df: pd.DataFrame) -> pd.DataFrame:
         day = (df[date_col].to_numpy().astype("datetime64[us]")
                .astype(np.int64) // 86_400_000_000)
@@ -2954,13 +2896,11 @@ def retention_survival(ds, cust_col: str, date_col: str,
         return (out.groupby(["gap", "cens"], sort=False).size()
                 .rename("_n").astype("int64").reset_index())
 
-    tagged = rows.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=cust_col, n_buckets=n_buckets))
-    parts = tagged.groupby("_b").map_groups(
-        lambda g: gaps(g.drop(columns=["_b"])), batch_format="pandas")
-    agg = parts.groupby(["gap", "cens"]).aggregate(
-        Sum("_n", alias_name="_n"))
+    parts = keyed_fold(rows, cust_col, gaps, n_buckets=n_buckets,
+                       schema=pa.schema([(c, pa.int64())
+                                         for c in ("gap", "cens", "_n")]),
+                       batch_format="pandas")
+    agg = _sum_partials(parts, ["gap", "cens"], n_buckets)
 
     def km(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["gap", "cens"], kind="mergesort")
@@ -3004,15 +2944,18 @@ def mode_per_group(ds, group_col: str, value_col: str,
     """Exact mode per group — the most frequent value with a
     (count desc, value asc) tie-break.  Per-batch (group, value)
     partial counts collapse every block; ONE bucketed shuffle keyed
-    on the (group, value) CELL folds exact counts and cuts per-bucket
-    argmax candidates; a tiny second fold keyed on the group picks
-    the true mode.  Output: (group, mode_value, n).
+    on the (group, value) CELL (a ``_cell`` key column) folds exact
+    counts and cuts per-bucket argmax candidates; a tiny second fold
+    keyed on the group picks the true mode.  Output: (group,
+    mode_value, n).
     """
     import pandas as pd
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby([group_col, value_col], sort=False)
-                .size().rename("_c").astype("int64").reset_index())
+        out = (df.groupby([group_col, value_col], sort=False)
+               .size().rename("_c").astype("int64").reset_index())
+        return out.assign(_cell=out[group_col].astype(str) + "\x00"
+                          + out[value_col].astype(str))
 
     def cell_fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby([group_col, value_col], sort=False)["_c"].sum()
@@ -3029,24 +2972,18 @@ def mode_per_group(ds, group_col: str, value_col: str,
                            kind="mergesort")
              .groupby(group_col, sort=False).head(1)
              .reset_index(drop=True))
-        g = g.drop(columns=["_b", "_b2"], errors="ignore")
         return (g.rename(columns={value_col: "mode_value", "_c": "n"})
                 .astype({"n": "int64"}))
 
-    cells = ds.map_batches(partial, batch_format="pandas")
-    tagged = cells.map_batches(
-        lambda df: df.assign(_b=key_buckets(
-            (df[group_col].astype(str) + "\x00"
-             + df[value_col].astype(str)).to_numpy(), n_buckets)),
+    cands = keyed_fold(
+        ds.map_batches(partial, batch_format="pandas"), "_cell", cell_fold,
+        n_buckets=n_buckets,
+        schema=_carry(group_col, value_col, ("_c", pa.int64())),
         batch_format="pandas")
-    cands = tagged.groupby("_b").map_groups(cell_fold,
-                                            batch_format="pandas")
-    by_grp = cands.map_batches(
-        lambda df: df.assign(_b2=key_buckets(
-            df[group_col].astype(str).to_numpy(), n_buckets)),
-        batch_format="pandas")
-    return by_grp.groupby("_b2").map_groups(final_cut,
-                                            batch_format="pandas")
+    return keyed_fold(cands, group_col, final_cut, n_buckets=n_buckets,
+                      schema=_carry(group_col, ("mode_value", value_col),
+                                    ("n", pa.int64())),
+                      batch_format="pandas")
 
 
 def roc_auc(ds, pos_col: str, value_col: str, n_buckets: int = 64):
@@ -3188,9 +3125,6 @@ def last_touch_attribution(ds, user_col: str = "user_id",
     Output: (touch_type, attr_cents, n_conv) sorted by touch_type.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-
-    from .bucketing import key_buckets
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([user_col, ts_col, id_col], kind="mergesort")
@@ -3212,20 +3146,14 @@ def last_touch_attribution(ds, user_col: str = "user_id",
             "touch_type": touch[conv],
             "attr_cents": cents[conv],
             "n_conv": np.ones(int(conv.sum()), np.int64)})
-        return (out.groupby("touch_type", sort=False).sum().reset_index()
-                .astype({"attr_cents": "int64", "n_conv": "int64"}))
+        return out.groupby("touch_type", sort=False).sum().reset_index()
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(
-        lambda g: sweep(g.drop(columns=["_b"])), batch_format="pandas")
-    agg = (part.groupby("touch_type")
-           .aggregate(Sum("attr_cents", alias_name="attr_cents"),
-                      Sum("n_conv", alias_name="n_conv")))
-    return agg.map_batches(
-        lambda b: b.select(["touch_type", "attr_cents", "n_conv"]),
-        batch_format="pyarrow").sort("touch_type")
+    part = keyed_fold(ds, user_col, sweep, n_buckets=n_buckets,
+                      schema=_carry(("touch_type", type_col),
+                                    ("attr_cents", pa.int64()),
+                                    ("n_conv", pa.int64())),
+                      batch_format="pandas")
+    return _sum_partials(part, ["touch_type"], n_buckets).sort("touch_type")
 
 
 def gains_table(ds, pos_col: str, value_col: str, id_col: str,
@@ -3369,16 +3297,13 @@ def peak_concurrency(ds, dur_us: int, key_col: str = "user_id",
     Output: (key, peak) int64."""
     import pandas as pd
 
-    from .bucketing import key_buckets
-
     if dur_us <= 0:
         raise ValueError(f"dur_us must be > 0, got {dur_us}")
 
     def slim(df: pd.DataFrame) -> pd.DataFrame:
         ts = df[ts_col].astype("datetime64[us]").astype("int64")
         return pd.DataFrame({
-            key_col: df[key_col].astype("int64"), "_start": ts,
-            "_b": key_buckets(df[key_col].to_numpy(), n_buckets)})
+            key_col: df[key_col].astype("int64"), "_start": ts})
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         k = np.concatenate([g[key_col].to_numpy(np.int64)] * 2)
@@ -3394,10 +3319,11 @@ def peak_concurrency(ds, dur_us: int, key_col: str = "user_id",
                 .rename("peak").reset_index())
         return peak.astype({key_col: "int64", "peak": "int64"})
 
-    return (ds.map_batches(slim, batch_format="pandas")
-            .groupby("_b")
-            .map_groups(lambda g: sweep(g.drop(columns=["_b"])),
-                        batch_format="pandas"))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pandas"), key_col, sweep,
+        n_buckets=n_buckets,
+        schema=pa.schema([(key_col, pa.int64()), ("peak", pa.int64())]),
+        batch_format="pandas")
 
 
 def als_rank1(ds, user_col: str = "user_id", item_col: str = "event_type",
@@ -3625,11 +3551,6 @@ def late_ship_orders(orders_ds, lineitem_ds, late_days: int = 30,
             "_od": pa.nulls(len(g), pa.int64()),
             "_ms": pa.array(g["_ms"].to_numpy(np.int64))})
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = key_buckets(batch.column("_k").to_numpy(zero_copy_only=False),
-                        n_buckets)
-        return batch.append_column("_b", pa.array(b))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         orders = g[g["_od"].notna()][["_k", "_pr", "_od"]]
         ships = (g[g["_ms"].notna()].groupby("_k", sort=False)["_ms"]
@@ -3637,22 +3558,16 @@ def late_ship_orders(orders_ds, lineitem_ds, late_days: int = 30,
         m = orders.merge(ships, on="_k")
         late = m[m["_ms"].to_numpy(np.int64)
                  > m["_od"].to_numpy(np.int64) + late_us]
-        out = (late.groupby("_pr", sort=True).size()
-               .rename("_n").reset_index())
-        out["_n"] = out["_n"].astype("int64")
-        return out
+        return (late.groupby("_pr", sort=True).size().rename("n_late")
+                .rename_axis("o_orderpriority").reset_index())
 
     union = (orders_ds.map_batches(o_slim, batch_format="pyarrow")
              .union(lineitem_ds.map_batches(l_slim, batch_format="pyarrow")))
-    partials = (union.map_batches(tag, batch_format="pyarrow")
-                .groupby("_b").map_groups(fold, batch_format="pandas"))
-    from ray.data.aggregate import Sum
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["o_orderpriority", "n_late"])
-
-    return (partials.groupby("_pr").aggregate(Sum("_n", alias_name="n_late"))
-            .map_batches(rename, batch_format="pyarrow"))
+    partials = keyed_fold(union, "_k", fold, n_buckets=n_buckets,
+                          schema=_carry(("o_orderpriority", "_pr"),
+                                        ("n_late", pa.int64())),
+                          batch_format="pandas")
+    return _sum_partials(partials, ["o_orderpriority"], n_buckets)
 
 
 def mann_whitney_u(ds, group_col: str, value_col: str,
@@ -3687,19 +3602,15 @@ def mann_whitney_u(ds, group_col: str, value_col: str,
             "_na": pa.array(piv[group_a].to_numpy(np.int64)),
             "_nb": pa.array(piv[group_b].to_numpy(np.int64))})
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = key_buckets(batch.column("_v").to_numpy(zero_copy_only=False),
-                        n_buckets)
-        return batch.append_column("_b", pa.array(b))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("_v", sort=False)[["_na", "_nb"]].sum().reset_index()
         return out.astype({"_v": "int64", "_na": "int64", "_nb": "int64"})
 
-    counts = (ds.map_batches(slim, batch_format="pyarrow")
-              .map_batches(tag, batch_format="pyarrow")
-              .groupby("_b").map_groups(fold, batch_format="pandas")
-              .select_columns(["_v", "_na", "_nb"]))
+    counts = keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), "_v", fold,
+        n_buckets=n_buckets,
+        schema=pa.schema([(c, pa.int64()) for c in ("_v", "_na", "_nb")]),
+        batch_format="pandas")
     sds = counts.sort("_v").materialize()
     refs = sds.to_arrow_refs()
 
@@ -3856,17 +3767,20 @@ def dense_topk_per_group(ds, group_col: str, value_col: str, id_col: str,
             "_c": _cents(batch.column(value_col)
                          .to_numpy(zero_copy_only=False))})
         out = keep_topk(df).drop(columns=["value_rank"])
-        out["_b"] = key_buckets(out[group_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = keep_topk(g.drop(columns=["_b"]))
+        out = keep_topk(g)
         out = out.rename(columns={"_c": "value_cents"})
         out["value_cents"] = out["value_cents"].astype("int64")
         return out.sort_values([group_col, "value_rank", id_col])
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas"))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), group_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(group_col, id_col, ("value_cents", pa.int64()),
+                      ("value_rank", pa.int64())),
+        batch_format="pandas")
 
 
 def increasing_runs(ds, key_col: str, ts_col: str, id_col: str,
@@ -3891,7 +3805,6 @@ def increasing_runs(ds, key_col: str, ts_col: str, id_col: str,
             id_col: batch.column(id_col).to_numpy(zero_copy_only=False),
             "_c": _cents(batch.column(value_col)
                          .to_numpy(zero_copy_only=False))})
-        df["_b"] = key_buckets(df[key_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -3899,9 +3812,6 @@ def increasing_runs(ds, key_col: str, ts_col: str, id_col: str,
         keys = g[key_col].to_numpy()
         vals = g["_c"].to_numpy(np.int64)
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({key_col: pd.array([], dtype="int64"),
-                                 "max_run": pd.array([], dtype="int64")})
         brk = np.ones(n, dtype=bool)
         brk[1:] = (keys[1:] != keys[:-1]) | (vals[1:] <= vals[:-1])
         starts = np.flatnonzero(brk)
@@ -3912,9 +3822,11 @@ def increasing_runs(ds, key_col: str, ts_col: str, id_col: str,
         out["max_run"] = out["max_run"].astype("int64")
         return out
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns([key_col, "max_run"]))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(key_col, ("max_run", pa.int64())),
+        batch_format="pandas")
 
 
 def sequence_gaps(ds, key_col: str, n_buckets: int = 64):
@@ -3937,16 +3849,17 @@ def sequence_gaps(ds, key_col: str, n_buckets: int = 64):
     def slim(batch: pa.Table) -> pa.Table:
         v = np.unique(batch.column(key_col).to_numpy(zero_copy_only=False)
                       .astype(np.int64))
-        t = pa.table({"_v": pa.array(v)})
-        return t.append_column("_b", pa.array(key_buckets(v, n_buckets)))
+        return pa.table({"_v": pa.array(v)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "_v": np.unique(g["_v"].to_numpy(np.int64))})
 
-    distinct = (ds.map_batches(slim, batch_format="pyarrow")
-                .groupby("_b").map_groups(fold, batch_format="pandas")
-                .select_columns(["_v"]))
+    distinct = keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), "_v", fold,
+        n_buckets=n_buckets,
+        schema=pa.schema([("_v", pa.int64())]),
+        batch_format="pandas")
     sds = distinct.sort("_v").materialize()
     refs = sds.to_arrow_refs()
 
@@ -4158,17 +4071,13 @@ def clamped_balance(ds, key_col: str = "user_id", ts_col: str = "ts",
                     .cast(pa.int64()).to_numpy(zero_copy_only=False),
             id_col: batch.column(id_col).to_numpy(zero_copy_only=False),
             "_d": np.where(debit, -cents, cents)})
-        df["_b"] = key_buckets(df[key_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    empty = {key_col: "int64", "final_cents": "int64",
-             "max_cents": "int64", "n_clamps": "int64"}
+    out_cols = {key_col: "int64", "final_cents": "int64",
+                "max_cents": "int64", "n_clamps": "int64"}
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, id_col], kind="mergesort")
-        if g.empty:
-            return pd.DataFrame({c: pd.array([], dtype=t)
-                                 for c, t in empty.items()})
         grp = g.groupby(key_col, sort=True)
         cs = grp["_d"].cumsum().to_numpy(np.int64)
         runmin = np.minimum(pd.Series(cs).groupby(
@@ -4186,11 +4095,13 @@ def clamped_balance(ds, key_col: str = "user_id", ts_col: str = "ts",
         agg = res.groupby(key_col, sort=True).agg(
             final_cents=("_bal", "last"), max_cents=("_bal", "max"),
             n_clamps=("_cl", "sum")).reset_index()
-        return agg.astype(empty)
+        return agg.astype(out_cols)
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns(list(empty)))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=pa.schema([(c, pa.int64()) for c in out_cols]),
+        batch_format="pandas")
 
 
 def dataset_fingerprint(ds, cols, fmt: str | None = None,
@@ -4246,7 +4157,6 @@ def windowed_cooccurrence(ds, user_col: str = "user_id",
     arithmetic (no Python pair loop), emitting per-bucket (a, b, n)
     partials; one keyed Sum merges buckets.  O(pairs) work — the
     window bounds pairs per event.  Output: (type_a, type_b, n_pairs)."""
-    from ray.data.aggregate import Sum
 
     def slim(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -4256,7 +4166,6 @@ def windowed_cooccurrence(ds, user_col: str = "user_id",
                    .cast(pa.int64()).to_numpy(zero_copy_only=False),
             type_col: batch.column(type_col).to_numpy(
                 zero_copy_only=False)})
-        df["_b"] = key_buckets(df[user_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -4265,10 +4174,6 @@ def windowed_cooccurrence(ds, user_col: str = "user_id",
         ts = g["_ts"].to_numpy(np.int64)
         types = g[type_col].to_numpy()
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({"type_a": pd.array([], dtype="object"),
-                                 "type_b": pd.array([], dtype="object"),
-                                 "n": pd.array([], dtype="int64")})
         starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
         bounds = np.r_[starts, n]
         idx_i_parts, idx_j_parts = [], []
@@ -4287,14 +4192,16 @@ def windowed_cooccurrence(ds, user_col: str = "user_id",
         jj = np.concatenate(idx_j_parts)
         out = (pd.DataFrame({"type_a": types[ii], "type_b": types[jj]})
                .groupby(["type_a", "type_b"], sort=False).size()
-               .rename("n").reset_index())
-        out["n"] = out["n"].astype("int64")
+               .rename("n_pairs").reset_index())
         return out
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas")
-            .groupby(["type_a", "type_b"])
-            .aggregate(Sum("n", alias_name="n_pairs")))
+    part = keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), user_col, fold,
+        n_buckets=n_buckets,
+        schema=_carry(("type_a", type_col), ("type_b", type_col),
+                      ("n_pairs", pa.int64())),
+        batch_format="pandas")
+    return _sum_partials(part, ["type_a", "type_b"], n_buckets)
 
 
 def score_percentiles(ds, id_col: str, value_col: str):
@@ -4417,16 +4324,12 @@ def time_weighted_average(ds, key_col: str = "user_id",
             id_col: batch.column(id_col).to_numpy(zero_copy_only=False),
             "_v": _cents(batch.column(value_col).to_numpy(
                 zero_copy_only=False))})
-        df["_b"] = key_buckets(df[key_col].to_numpy(), n_buckets)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    empty = {key_col: "int64", "twap_cents": "int64", "span_us": "int64"}
+    out_cols = {key_col: "int64", "twap_cents": "int64", "span_us": "int64"}
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "_t", id_col], kind="mergesort")
-        if g.empty:
-            return pd.DataFrame({c: pd.array([], dtype=t)
-                                 for c, t in empty.items()})
         keys = g[key_col].to_numpy()
         t = g["_t"].to_numpy(np.int64).astype(object)
         v = g["_v"].to_numpy(np.int64).astype(object)
@@ -4445,11 +4348,13 @@ def time_weighted_average(ds, key_col: str = "user_id",
         res["twap_cents"] = [int(n // (2 * s))
                              for n, s in zip(res["num"], span)]
         res["span_us"] = span.astype("int64")
-        return res[[key_col, "twap_cents", "span_us"]].astype(empty)
+        return res[[key_col, "twap_cents", "span_us"]].astype(out_cols)
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas")
-            .select_columns(list(empty)))
+    return keyed_fold(
+        ds.map_batches(slim, batch_format="pyarrow"), key_col, fold,
+        n_buckets=n_buckets,
+        schema=pa.schema([(c, pa.int64()) for c in out_cols]),
+        batch_format="pandas")
 
 
 def markov_stationary(ds, user_col: str = "user_id", ts_col: str = "ts",
@@ -4600,17 +4505,12 @@ def linear_attribution(ds, user_col: str = "user_id", ts_col: str = "ts",
     n_touches) sorted by touch_type.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-
-    from .bucketing import tag_buckets_batch
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         conv = g[g[type_col] == conv_type]
         touches = g[g[type_col] != conv_type]
         if conv.empty or touches.empty:
-            return pd.DataFrame({"touch_type": pd.Series(dtype=object),
-                                 "credit_micro": pd.Series(dtype="int64"),
-                                 "n_touches": pd.Series(dtype="int64")})
+            return pd.DataFrame()
         m = touches[[user_col, ts_col, type_col]].merge(
             conv[[user_col, ts_col, id_col]].rename(
                 columns={ts_col: "_cts", id_col: "_cid"}), on=user_col)
@@ -4621,17 +4521,11 @@ def linear_attribution(ds, user_col: str = "user_id", ts_col: str = "ts",
         out = pd.DataFrame({"touch_type": d[type_col].to_numpy(),
                             "credit_micro": credit,
                             "n_touches": np.ones(len(d), np.int64)})
-        return (out.groupby("touch_type", sort=False).sum().reset_index()
-                .astype({"credit_micro": "int64", "n_touches": "int64"}))
+        return out.groupby("touch_type", sort=False).sum().reset_index()
 
-    tagged = ds.map_batches(
-        tag_buckets_batch, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=user_col, n_buckets=n_buckets))
-    part = tagged.groupby("_b").map_groups(
-        lambda g: fold(g.drop(columns=["_b"])), batch_format="pandas")
-    agg = (part.groupby("touch_type")
-           .aggregate(Sum("credit_micro", alias_name="credit_micro"),
-                      Sum("n_touches", alias_name="n_touches")))
-    return agg.map_batches(
-        lambda b: b.select(["touch_type", "credit_micro", "n_touches"]),
-        batch_format="pyarrow").sort("touch_type")
+    part = keyed_fold(ds, user_col, fold, n_buckets=n_buckets,
+                      schema=_carry(("touch_type", type_col),
+                                    ("credit_micro", pa.int64()),
+                                    ("n_touches", pa.int64())),
+                      batch_format="pandas")
+    return _sum_partials(part, ["touch_type"], n_buckets).sort("touch_type")

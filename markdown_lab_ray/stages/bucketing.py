@@ -11,12 +11,15 @@ bucket, and the in-bucket groupby is exact.
 
 ``keyed_fold`` is that shuffle as one primitive (tag → sort shuffle on
 the bucket id → one fold call per bucket, every output block carrying
-the fold's schema, Arrow or pandas folds alike).  The breaker's host
-tally and ``crawl_health`` run on it with Arrow folds; the graph
-operators (``stages/graph.py``: co-occurrence, degree attach, wedges,
-histograms, association rules, link prediction, distinct nodes) with
-pandas folds.  The crawl's schedule needs none: its frontier parts are
-written per ``key_buckets`` bucket by the tasks that make them.
+the fold's schema, Arrow or pandas folds alike).  The shuffle cuts the
+bucket ids into one contiguous range per cluster CPU (at most
+``n_buckets``), so its task count follows the cluster, not the key
+space.  The breaker's host tally and ``crawl_health`` run on it with
+Arrow folds; the graph operators (``stages/graph.py``) and the ordered
+analytics (``stages/analytics.py``: windows, ranks, sessions, funnels,
+attribution, per-key statistics, upserts) with pandas folds.  The
+crawl's schedule needs none: its frontier parts are written per
+``key_buckets`` bucket by the tasks that make them.
 
 Skew note: a single hot key still bounds a bucket's size from below;
 operators whose per-key work is superlinear (none of the current
@@ -93,37 +96,49 @@ def _tag_with_sentinels(batch: "pa.Table", key: str,
     return pa.concat_tables([tagged, sentinels])
 
 
-def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
+def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema,
                fn_kwargs: dict | None = None, batch_format: str = "pyarrow"):
     """The one keyed shuffle: ``fold(rows, **fn_kwargs)`` runs once per
     bucket of ``key_buckets(key, n_buckets)`` over ALL of that bucket's
-    rows and its result is cast to ``schema``.  ``batch_format`` is Ray's
-    own: ``"pyarrow"`` folds take and return Arrow tables (the crawl's
-    host tally and ``crawl_health``), ``"pandas"`` folds DataFrames (the
-    graph operators).  Every row of a key lands in one bucket, so a fold
-    may run an exact in-bucket ``groupby(key)``.
+    rows and its result is cast to ``schema``: a ``pa.Schema``, or a
+    function of the fold's input schema (for a result whose types follow
+    the input's; it runs in the fold task, so the input is never
+    executed just to learn its schema).  ``batch_format`` is Ray's own:
+    ``"pyarrow"`` folds take and return Arrow tables (the crawl's host
+    tally and ``crawl_health``), ``"pandas"`` folds DataFrames (graph and
+    analytics).  Every row of a key lands in one bucket, so a fold may
+    run an exact in-bucket ``groupby(key)``.
 
     The transport is Ray Data's sort shuffle on the bucket id ``_b`` with
-    one partition per bucket (explicit boundaries: no sampling pass);
-    ``_b`` is dropped before ``fold``.  Ray Data runs no map function on
-    an empty block and emits it column-less, so an empty block makes the
-    next map (a chained fold's tag stage, say) log "different schema".
-    Hence no partition is empty (each tag task adds one all-null
-    sentinel row per bucket, dropped before ``fold``), and the result is
-    returned materialized without its empty blocks (a partition whose
-    fold returned no rows), unless every block is empty.  Every block
-    carries ``schema``.  The fold's operator is named after ``fold``."""
+    explicit boundaries (no sampling pass): ``min(n_buckets, cluster
+    CPUs)`` partitions, each a contiguous range of bucket ids.  A
+    partition arrives sorted on ``_b`` and is cut at each change, so
+    ``fold`` still sees one whole bucket per call; ``_b`` is dropped
+    before it.  Ray Data runs no map function on an empty block and
+    emits it column-less, so an empty block makes the next map (a
+    chained fold's tag stage, say) log "different schema".  Hence no
+    partition is empty (each tag task adds one all-null sentinel row per
+    bucket, dropped before ``fold``), and the result is returned
+    materialized without its empty blocks (a partition whose folds
+    returned no rows), unless every block is empty.  Every block carries
+    the schema.  The fold's operator is named after ``fold``."""
     import pyarrow as pa
     import pyarrow.compute as pc
+    import ray
 
     kwargs = fn_kwargs or {}
+    parts = min(n_buckets, max(1, int(ray.cluster_resources().get("CPU", 1))))
 
     def run(block: pa.Table) -> pa.Table:
+        if parts == 1:              # repartition(1) does not sort
+            block = block.sort_by("_b")
         b = block.column("_b").to_numpy()
+        block = block.drop_columns(["_b"])
+        out_schema = schema(block.schema) if callable(schema) else schema
         cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
         outs = []
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(b)]):
-            rows = block.slice(lo, hi - lo).drop_columns(["_b"])
+            rows = block.slice(lo, hi - lo)
             rows = rows.filter(pc.is_valid(rows.column(key)))
             if not rows.num_rows:
                 continue
@@ -132,14 +147,15 @@ def keyed_fold(ds, key: str, fold, *, n_buckets: int, schema: "pa.Schema",
                                            preserve_index=False)
             else:
                 out = fold(rows, **kwargs)
-            outs.append(conform(out, schema))
-        return pa.concat_tables(outs) if outs else schema.empty_table()
+            outs.append(conform(out, out_schema))
+        return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
     run.__name__ = getattr(fold, "__name__", "keyed_fold")
     tagged = ds.map_batches(_tag_with_sentinels, batch_format="pyarrow",
                             fn_kwargs=dict(key=key, n_buckets=n_buckets))
-    shuffled = (tagged.sort("_b", boundaries=list(range(1, n_buckets)))
-                if n_buckets > 1 else tagged.repartition(1))
+    shuffled = (tagged.sort("_b", boundaries=[
+        n_buckets * i // parts for i in range(1, parts)])
+        if parts > 1 else tagged.repartition(1))
     return _drop_empty_blocks(shuffled.map_batches(
         run, batch_format="pyarrow", batch_size=None, zero_copy_batch=True))
 

@@ -1,5 +1,6 @@
-"""``keyed_fold`` driven directly (no crawl), and the graph operators that
-run on it checked for Ray Data's "different schema" warning."""
+"""``keyed_fold`` driven directly (no crawl), and the graph and analytics
+operators that run on it checked for Ray Data's "different schema"
+warning."""
 
 import logging
 
@@ -92,6 +93,30 @@ def test_pandas_fold_sees_one_whole_bucket_with_kwargs(ray_session):
     assert all(b.schema == _SCHEMA for b in _blocks(out))
 
 
+def test_fold_shuffles_one_bucket_range_per_cpu(ray_session):
+    """Keys in all 64 buckets on the 4-CPU session: at most 4 blocks come
+    back (one contiguous bucket range per CPU, not one partition per
+    bucket), each carrying the schema, and each bucket is folded exactly
+    once (one call, one bucket, all its rows)."""
+    schema = pa.schema([("b", pa.int64()), ("n_b", pa.int64()),
+                        ("n", pa.int64())])
+    assert len(set(key_buckets(np.arange(640), 64))) == 64
+
+    def per_call(rows: pa.Table) -> pa.Table:
+        b = np.unique(key_buckets(rows.column("k").to_numpy(), 64))
+        return pa.table({"b": [int(b[0])], "n_b": [len(b)],
+                         "n": [rows.num_rows]})
+
+    out = keyed_fold(_keys(n_rows=1280, n_keys=640), "k", per_call,
+                     n_buckets=64, schema=schema)
+    blocks = _blocks(out)
+    assert 1 <= len(blocks) <= 4
+    assert all(b.schema == schema for b in blocks)
+    df = out.to_pandas()
+    assert sorted(df["b"]) == list(range(64))
+    assert set(df["n_b"]) == {1} and df["n"].sum() == 1280
+
+
 def test_null_key_raises(ray_session):
     import ray.data as rd
 
@@ -173,4 +198,69 @@ def test_graph_operators_log_no_schema_drift(ray_session):
             "n_reciprocal"].tolist() == [2]
         assert sorted(distinct_nodes(hosts).to_pandas()["node"]) == [
             "a.com", "b.com", "c.com"]
+    assert not records.schema_drift(), records.schema_drift()
+
+
+def test_analytics_operators_log_no_schema_drift(ray_session):
+    """The analytics operators on ``keyed_fold`` (chained folds, partials
+    summed by a second fold, a fold after a union or before a sort, folds
+    that return no rows), on small Arrow inputs with the default 64
+    buckets (so most buckets are empty), log no "different schema";
+    ``event_transitions`` feeds ``edge_reciprocity`` as its graph query
+    does."""
+    import ray.data as rd
+
+    from markdown_lab_ray.stages import analytics as an
+    from markdown_lab_ray.stages.graph import edge_reciprocity
+
+    rng = np.random.RandomState(7)
+    n = 40
+    ev = rd.from_arrow(pa.table({
+        "event_id": pa.array(np.arange(n), pa.int64()),
+        "user_id": pa.array(rng.randint(0, 6, n), pa.int64()),
+        "ts": pa.array(np.sort(rng.randint(0, 10**10, n))
+                       + 1_700_000_000_000_000).cast(pa.timestamp("us")),
+        "event_type": rng.choice(["view", "click", "cart", "purchase"], n),
+        "value": rng.randint(1, 9999, n) / 100.0})).repartition(3)
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 2, 3, 3, 3], pa.int64()),
+        "ver": pa.array([1, 1, 2, 1, 2, 3], pa.int64()),
+        "text": ["a", "b", "c", "d", "e", "f"]})).repartition(2)
+    orders = rd.from_arrow(pa.table({
+        "o_orderkey": pa.array([1, 2, 3], pa.int64()),
+        "o_orderpriority": ["1-URGENT", "2-HIGH", "1-URGENT"],
+        "o_orderdate": pa.array([0, 0, 10], pa.date32())}))
+    lineitem = rd.from_arrow(pa.table({
+        "l_orderkey": pa.array([1, 1, 2, 3], pa.int64()),
+        "l_shipdate": pa.array([40, 5, 3, 11], pa.date32())}))
+
+    with _Records() as records:
+        assert an.rolling_sum_cents(ev).count() == n
+        assert an.rank_in_group(ev, "user_id", "value",
+                                "event_id").count() == n
+        assert an.distinct_count(ev, "event_type", "user_id").count() == 4
+        assert an.mode_per_group(ev, "user_id", "event_type").count() == 6
+        assert an.funnel_steps(ev, ["view", "click"]).count() <= 6
+        assert an.conversion_lag(ev, "view", "purchase").count() <= 6
+        assert an.retention_cohorts(ev).count() > 0
+        assert an.state_dwell_time(ev).count() > 0
+        assert an.interarrival_cv(ev).count() <= 6
+        assert an.mad_outliers(ev, "user_id", "value",
+                               "event_id", k=100.0).count() == 0
+        assert an.winsorize_per_key(ev, "user_id", "value",
+                                    "event_id").count() == n
+        assert an.event_trigrams(ev).count() > 0
+        assert an.windowed_cooccurrence(ev).count() > 0
+        assert an.last_touch_attribution(ev).count() > 0
+        assert an.linear_attribution(ev).count() > 0
+        assert an.retention_survival(ev, "user_id", "ts").count() > 0
+        assert an.mann_whitney_u(ev, "event_type", "value", "view",
+                                 "click")["n_a"].iloc[0] >= 0
+        assert an.sequence_gaps(ev, "event_id")["n_islands"].tolist() == [1]
+        assert sorted(an.upsert_merge(docs, docs, "doc_id", "ver")
+                      .to_pandas()["ver"]) == [1, 2, 3]
+        assert an.scd2_intervals(docs, "doc_id", "ver").count() == 6
+        assert an.late_ship_orders(orders, lineitem, late_days=30
+                                   ).to_pandas()["n_late"].tolist() == [1]
+        assert edge_reciprocity(an.event_transitions(ev)).count() == 1
     assert not records.schema_drift(), records.schema_drift()
